@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,13 +38,37 @@ from .invariance import (
     Pair,
     batched_residual_tests,
 )
-from .regression import fit_ols, fit_spline_additive, model_to_dict, predict
+# fit_ols is not called here any more; it stays importable as bimp.fit_ols
+# because the benchmark's tracer self-test checks that binding.
+from .regression import (
+    ColumnsFit,
+    fit_ols,  # noqa: F401
+    model_to_dict,
+    ols_columns,
+    predict,
+    spline_columns,
+)
 
 VARIANT_LINEAR = "linear"
 VARIANT_GAM = "gam"
 
 _DEFAULT_SUBSET_CAP = 3
 _DEGENERATE_DROP_FRACTION = 0.5
+
+
+def _matching_ratio(marginal, h0, h1, eps) -> tuple[np.ndarray, np.ndarray]:
+    """The matching ratio (marginal - h0) / (h1 - h0), clipped to [0, 1].
+
+    Elementwise over broadcastable arrays.  Entries whose denominator is at
+    most ``eps`` in absolute value are degenerate: NaN in the first result
+    and True in the second.
+    """
+    den = np.subtract(h1, h0)
+    degenerate = np.abs(den) <= eps
+    ratio = np.divide(
+        np.subtract(marginal, h0), den, out=np.full(den.shape, np.nan), where=~degenerate
+    )
+    return np.clip(ratio, 0.0, 1.0), degenerate
 
 
 def bimp_ratio(marginal: float, h0: float, h1: float, eps_den: float) -> float | None:
@@ -57,10 +82,8 @@ def bimp_ratio(marginal: float, h0: float, h1: float, eps_den: float) -> float |
             raise ValidationError(f"{name} must be finite, got {v!r}")
     if not (math.isfinite(eps_den) and eps_den >= 0.0):
         raise ValidationError(f"eps_den must be a non-negative float, got {eps_den!r}")
-    den = h1 - h0
-    if abs(den) <= eps_den:
-        return None
-    return min(1.0, max(0.0, (marginal - h0) / den))
+    prob, degenerate = _matching_ratio(marginal, h0, h1, eps_den)
+    return None if degenerate else float(prob)
 
 
 def _as_groups(m: int, groups: Sequence[Sequence[int]] | None) -> tuple[tuple[int, ...], ...]:
@@ -136,14 +159,91 @@ class PairModel:
 
 def _marginal_fitter(variant: str):
     if variant == VARIANT_LINEAR:
-        return fit_ols
+        return ols_columns
     if variant == VARIANT_GAM:
-        return fit_spline_additive
+        return spline_columns
     raise ValidationError(f"unknown variant {variant!r}")
 
 
 def _slice(features: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
     return features[:, list(cols)] if cols else features[:, :0]
+
+
+@dataclass(frozen=True)
+class _GroupFit:
+    """h0, h1 and the target marginal for one conditioning set S.
+
+    Every k fitted with S is one column of each fit (``column`` maps k to
+    it).  ``thin`` says why the target rows could not carry the marginal,
+    in which case ``marginal`` is None.
+    """
+
+    column: Mapping[int, int]
+    h: tuple[ColumnsFit, ColumnsFit]
+    marginal: ColumnsFit | None
+    thin: str | None
+
+
+class TrainingView:
+    """The arrays a matching-pairs fit reads for every pair, gathered once.
+
+    ``features`` and ``response`` are the training rows, ``class_rows[y]``
+    the training features of class y, ``env_rows[i]`` the row indices of
+    training environment ``d.train_labels[i]`` within them, and ``spread``
+    the per-column standard deviation of the training features.  ``target``
+    is the target-environment feature block: ``target_features`` when
+    given, otherwise the test environment's rows, gathered on first use.
+    :meth:`solve` keeps the per-conditioning-set fits, so that all pairs
+    sharing S cost one solve.
+    """
+
+    def __init__(self, d: MultiEnvDataset, target_features: np.ndarray | None = None):
+        train = training_subset(d)
+        self.features = train.features
+        self.response = train.response
+        self.class_rows = tuple(train.features[train.response == y] for y in (0, 1))
+        self.env_rows = tuple(
+            np.flatnonzero(train.rows_in(label)) for label in train.train_labels
+        )
+        self.spread = np.array([np.std(column) for column in train.features.T])
+        self._dataset = d
+        if target_features is not None:
+            target = np.asarray(target_features, dtype=float)
+            if target.ndim != 2 or target.shape[1] != d.m:
+                raise ValidationError("target features must be 2-D with matching column count")
+            if not np.all(np.isfinite(target)):
+                raise ValidationError("target features contain non-finite entries")
+            self.target = target
+        self._groups: dict[tuple[tuple[int, ...], str], _GroupFit] = {}
+
+    @cached_property
+    def target(self) -> np.ndarray:
+        return test_subset(self._dataset).features
+
+    def solve(self, s: tuple[int, ...], ks: Sequence[int], variant: str) -> _GroupFit:
+        """Fits of h0, h1 and the target marginal for S, with every k in ``ks``.
+
+        Each fit is one least-squares solve with all the k columns as
+        right-hand sides; the result is kept and reused for later calls
+        whose k it covers.
+        """
+        group = self._groups.get((s, variant))
+        if group is not None and set(ks) <= group.column.keys():
+            return group
+        fitter = _marginal_fitter(variant)
+        if any(rows.shape[0] == 0 for rows in self.class_rows):
+            raise DegenerateResponseError("training rows contain a single class")
+        cols, ks = list(s), list(ks)
+        h0, h1 = (ols_columns(rows[:, cols], rows[:, ks])[0] for rows in self.class_rows)
+        marginal = thin = None
+        try:
+            marginal, _ = fitter(self.target[:, cols], self.target[:, ks])
+        except InsufficientDataError as exc:
+            thin = str(exc)
+        column = {k: j for j, k in enumerate(ks)}
+        group = _GroupFit(column=column, h=(h0, h1), marginal=marginal, thin=thin)
+        self._groups[(s, variant)] = group
+        return group
 
 
 def fit_pair_model(
@@ -152,53 +252,52 @@ def fit_pair_model(
     variant: str = VARIANT_LINEAR,
     eps_den: float = 1e-6,
     target_features: np.ndarray | None = None,
+    view: TrainingView | None = None,
 ) -> PairModel:
     """Fit h0, h1 on pooled training rows and the marginal on target rows.
 
     ``target_features`` defaults to the feature matrix of the dataset's
     test environment.  ``eps_den`` is relative: the absolute degeneracy
     tolerance becomes eps_den times the pooled-training standard deviation
-    of column k (or eps_den itself when that deviation is zero).
+    of column k (or eps_den itself when that deviation is zero).  Raises
+    :class:`InsufficientDataError` when the target rows are too few for the
+    marginal on S.
+
+    ``view`` is a :class:`TrainingView` of ``d`` shared by many pairs; it
+    then also fixes the target rows (``target_features`` is not read), and
+    the three fits are this pair's columns of the view's solve for S.
     """
-    fitter = _marginal_fitter(variant)
+    _marginal_fitter(variant)
     if not eps_den > 0.0:
         raise ValidationError(f"eps_den must be positive, got {eps_den!r}")
-    train = training_subset(d)
-    if pair.k >= train.m or (pair.s and max(pair.s) >= train.m):
-        raise ValidationError(f"pair {pair} references columns beyond m = {train.m}")
-    if target_features is None:
-        target_features = test_subset(d).features
-    target_features = np.asarray(target_features, dtype=float)
-    if target_features.ndim != 2 or target_features.shape[1] != train.m:
-        raise ValidationError("target features must be 2-D with matching column count")
-
-    classes = np.unique(train.response)
-    if classes.size < 2:
-        raise DegenerateResponseError("training rows contain a single class")
-
-    hs = {}
-    for y in (0, 1):
-        mask = train.response == y
-        hs[y] = fit_ols(_slice(train.features[mask], pair.s), train.features[mask, pair.k])
-    spread = float(np.std(train.features[:, pair.k]))
+    if pair.k >= d.m or (pair.s and max(pair.s) >= d.m):
+        raise ValidationError(f"pair {pair} references columns beyond m = {d.m}")
+    if view is None:
+        view = TrainingView(d, target_features)
+    group = view.solve(pair.s, (pair.k,), variant)
+    if group.thin is not None:
+        raise InsufficientDataError(group.thin)
+    j = group.column[pair.k]
+    spread = float(view.spread[pair.k])
     eps_abs = eps_den * spread if spread > 0.0 else eps_den
-    marginal = fitter(_slice(target_features, pair.s), target_features[:, pair.k])
     return PairModel(
-        pair=pair, h0=hs[0], h1=hs[1], marginal=marginal, eps_abs=eps_abs, variant=variant
+        pair=pair,
+        h0=group.h[0].model(j),
+        h1=group.h[1].model(j),
+        marginal=group.marginal.model(j),
+        eps_abs=eps_abs,
+        variant=variant,
     )
 
 
 def _pair_values(model: PairModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s_block = _slice(X, model.pair.s)
-    mv = predict(model.marginal, s_block)
-    h0v = predict(model.h0, s_block)
-    h1v = predict(model.h1, s_block)
-    den = h1v - h0v
-    degenerate = np.abs(den) <= model.eps_abs
-    probs = np.full(X.shape[0], np.nan)
-    ok = ~degenerate
-    probs[ok] = np.clip((mv[ok] - h0v[ok]) / den[ok], 0.0, 1.0)
-    return probs, degenerate
+    return _matching_ratio(
+        predict(model.marginal, s_block),
+        predict(model.h0, s_block),
+        predict(model.h1, s_block),
+        model.eps_abs,
+    )
 
 
 def predict_pair(model: PairModel, X) -> tuple[np.ndarray, np.ndarray]:
@@ -225,8 +324,44 @@ class ScoreFilterResult:
     threshold: float
 
 
+def _training_scores(
+    view: TrainingView, s: tuple[int, ...], variant: str, members: Sequence[PairModel]
+) -> list[float]:
+    """Mean squared training error of each pair model sharing S and variant.
+
+    Inside each training environment one marginal solve covers every
+    member's k; an environment too thin for that solve is left out.
+    """
+    fitter = _marginal_fitter(variant)
+    cols = list(s)
+    ks = [pm.pair.k for pm in members]
+    h0 = np.array([pm.h0.coef for pm in members]).T
+    h1 = np.array([pm.h1.coef for pm in members]).T
+    eps = np.array([pm.eps_abs for pm in members])
+    total = np.zeros(len(members))
+    count = np.zeros(len(members))
+    for rows in view.env_rows:
+        env = view.features[rows]
+        s_block = env[:, cols]
+        try:
+            fit, basis = fitter(s_block, env[:, ks])
+        except InsufficientDataError:
+            continue
+        marginal = basis @ fit.coef
+        design = np.column_stack([np.ones(rows.size), s_block])
+        probs, degenerate = _matching_ratio(marginal, design @ h0, design @ h1, eps)
+        observed = view.response[rows][:, None]
+        total += np.where(degenerate, 0.0, (probs - observed) ** 2).sum(axis=0)
+        count += (~degenerate).sum(axis=0)
+    mean = np.divide(total, count, out=np.full(len(members), math.inf), where=count > 0)
+    return [float(v) for v in mean]
+
+
 def score_filter(
-    models: Sequence[PairModel], d: MultiEnvDataset, tau: float = 0.1
+    models: Sequence[PairModel],
+    d: MultiEnvDataset,
+    tau: float = 0.1,
+    view: TrainingView | None = None,
 ) -> ScoreFilterResult:
     """Keep the pairs whose training error is within a factor of the best.
 
@@ -236,39 +371,23 @@ def score_filter(
     pooled).  Degenerate rows do not contribute.  Pairs score infinity when
     no row contributes; the filter keeps scores at most (1 + tau) times the
     minimum and always keeps an argmin, so the result is never empty.
+    Pairs sharing a conditioning set are scored together; ``view`` is a
+    :class:`TrainingView` of ``d``, built here when not given.
     """
     if not models:
         raise ValidationError("score_filter needs at least one pair model")
     if not tau >= 0.0:
         raise ValidationError(f"tau must be non-negative, got {tau!r}")
-    train = training_subset(d)
-    labels = train.train_labels
-    scores: dict[Pair, float] = {}
+    if view is None:
+        view = TrainingView(d)
+    by_group: dict[tuple[tuple[int, ...], str], list[PairModel]] = {}
     for model in models:
-        fitter = _marginal_fitter(model.variant)
-        errors: list[np.ndarray] = []
-        for label in labels:
-            env = train.take(train.rows_in(label))
-            s_block = _slice(env.features, model.pair.s)
-            x_k = env.features[:, model.pair.k]
-            try:
-                env_marginal = fitter(s_block, x_k)
-            except InsufficientDataError:
-                continue
-            mv = predict(env_marginal, s_block)
-            h0v = predict(model.h0, s_block)
-            h1v = predict(model.h1, s_block)
-            den = h1v - h0v
-            ok = np.abs(den) > model.eps_abs
-            if not np.any(ok):
-                continue
-            ratio = np.clip((mv[ok] - h0v[ok]) / den[ok], 0.0, 1.0)
-            errors.append((ratio - env.response[ok]) ** 2)
-        if errors:
-            stacked = np.concatenate(errors)
-            scores[model.pair] = float(stacked.mean())
-        else:
-            scores[model.pair] = math.inf
+        by_group.setdefault((model.pair.s, model.variant), []).append(model)
+    group_scores: dict[Pair, float] = {}
+    for (s, variant), members in by_group.items():
+        values = _training_scores(view, s, variant, members)
+        group_scores.update((pm.pair, v) for pm, v in zip(members, values))
+    scores = {model.pair: group_scores[model.pair] for model in models}
 
     best = min(scores.values())
     if not math.isfinite(best):
@@ -286,7 +405,8 @@ class BimpModel:
     ``abstained`` is True when no pair survived; such a model refuses to
     predict.  ``base_rate`` (pooled training class-1 frequency) backs rows
     where every kept pair is degenerate.  ``counts`` records how many pairs
-    were enumerated, accepted, skipped, rejected, dropped as mostly
+    were enumerated, accepted, skipped, rejected, skipped after acceptance
+    because the target rows could not fit their marginal, dropped as mostly
     degenerate on the target, and finally kept.
     """
 
@@ -335,21 +455,22 @@ def fit_bimp(
 
     Enumerate candidate pairs (one-hot groups enter conditioning sets as
     units when ``group_one_hot``), keep those accepted by the
-    residual-distribution test at level ``alpha``, drop the accepted pairs
-    whose training error exceeds (1 + tau) times the best, fit the target
-    marginal for the survivors, and drop any survivor degenerate on more
-    than half of the target rows.  The model abstains when nothing remains.
+    residual-distribution test at level ``alpha``, fit h0, h1 and the target
+    marginal of each, skip the pairs whose conditioning set the target rows
+    are too few to fit (counted as ``skipped_target``), drop the pairs
+    whose training error exceeds (1 + tau) times the best, and drop any
+    survivor degenerate on more than half of the target rows.  Every fit
+    after the screen is one solve per conditioning set, shared by all the
+    pairs with that set.  The model abstains when nothing remains.
     """
     _marginal_fitter(variant)
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
-    train = training_subset(d)
-    if len(train.train_labels) < 2:
+    if len(d.train_labels) < 2:
         raise ValidationError("need at least two training environments")
     if d.test_label is None:
         raise ValidationError("dataset declares no test environment")
 
-    base_rate = float(train.response.mean())
     groups = None
     if group_one_hot:
         from .data import feature_groups
@@ -369,64 +490,49 @@ def fit_bimp(
         "accepted": sum(r.verdict == "accepted" for r in reports),
         "rejected": sum(r.verdict == "rejected" for r in reports),
         "skipped": sum(r.verdict == "skipped" for r in reports),
+        "skipped_target": 0,
         "dropped_degenerate": 0,
         "kept": 0,
     }
     accepted = [r.pair for r in reports if r.accepted]
-    if not accepted:
-        return BimpModel(
-            variant=variant,
-            alpha=alpha,
-            tau=tau,
-            eps_den=eps_den,
-            pair_models=(),
-            scores={},
-            threshold=None,
-            base_rate=base_rate,
-            abstained=True,
-            reports=reports,
-            counts=counts,
-        )
 
-    target = test_subset(d).features
-    fitted = [
-        fit_pair_model(d, pair, variant=variant, eps_den=eps_den, target_features=target)
-        for pair in accepted
-    ]
-    filtered = score_filter(fitted, d, tau=tau)
+    view = TrainingView(d)
+    by_s: dict[tuple[int, ...], list[int]] = {}
+    for pair in accepted:
+        by_s.setdefault(pair.s, []).append(pair.k)
+    for s, ks in by_s.items():
+        view.solve(s, ks, variant)
+    fitted: list[PairModel] = []
+    for pair in accepted:
+        try:
+            fitted.append(fit_pair_model(d, pair, variant=variant, eps_den=eps_den, view=view))
+        except InsufficientDataError:
+            # the target rows are too few for a marginal on this S
+            counts["skipped_target"] += 1
 
     survivors: list[PairModel] = []
-    for model in filtered.kept:
-        _, degenerate = _pair_values(model, target)
-        if target.shape[0] and degenerate.mean() > _DEGENERATE_DROP_FRACTION:
-            counts["dropped_degenerate"] += 1
-            continue
-        survivors.append(model)
+    scores: Mapping[Pair, float] = {}
+    threshold = None
+    if fitted:
+        filtered = score_filter(fitted, d, tau=tau, view=view)
+        scores, threshold = filtered.scores, filtered.threshold
+        for model in filtered.kept:
+            _, degenerate = _pair_values(model, view.target)
+            if view.target.shape[0] and degenerate.mean() > _DEGENERATE_DROP_FRACTION:
+                counts["dropped_degenerate"] += 1
+                continue
+            survivors.append(model)
     counts["kept"] = len(survivors)
-    if not survivors:
-        return BimpModel(
-            variant=variant,
-            alpha=alpha,
-            tau=tau,
-            eps_den=eps_den,
-            pair_models=(),
-            scores=filtered.scores,
-            threshold=filtered.threshold,
-            base_rate=base_rate,
-            abstained=True,
-            reports=reports,
-            counts=counts,
-        )
     return BimpModel(
         variant=variant,
         alpha=alpha,
         tau=tau,
         eps_den=eps_den,
         pair_models=tuple(survivors),
-        scores=filtered.scores,
-        threshold=filtered.threshold,
-        base_rate=base_rate,
-        abstained=False,
+        scores=scores,
+        threshold=threshold,
+        base_rate=float(view.response.mean()),
+        abstained=not survivors,
         reports=reports,
         counts=counts,
     )

@@ -16,6 +16,7 @@ bit-identical matrices.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 from dataclasses import dataclass, field
@@ -85,10 +86,11 @@ class MultiEnvDataset:
             raise ValidationError("environment labels must be unique")
         if sum(e.role == ROLE_TEST for e in self.environments) > 1:
             raise ValidationError("at most one environment may have the test role")
-        known = set(labels)
-        for label in env_of:
-            if label not in known:
-                raise UnknownEnvironmentError(f"row labeled with unregistered environment {label!r}")
+        unknown = ~_label_mask(env_of, labels)
+        if np.any(unknown):
+            raise UnknownEnvironmentError(
+                f"row labeled with unregistered environment {env_of[unknown][0]!r}"
+            )
         if len(self.column_names) != features.shape[1]:
             raise ValidationError("column_names length does not match feature columns")
         if len(set(self.column_names)) != len(self.column_names):
@@ -131,27 +133,41 @@ class MultiEnvDataset:
         return None
 
     def env_sizes(self) -> dict[str, int]:
-        sizes = {e.label: 0 for e in self.environments}
-        for label in self.env_of:
-            sizes[label] += 1
-        return sizes
+        return {e.label: int(np.count_nonzero(self.env_of == e.label)) for e in self.environments}
 
     def rows_in(self, label: str) -> np.ndarray:
         if label not in {e.label for e in self.environments}:
             raise UnknownEnvironmentError(f"unknown environment {label!r}")
-        return np.asarray([v == label for v in self.env_of], dtype=bool)
+        return _label_mask(self.env_of, (label,))
 
     def take(self, mask: np.ndarray) -> "MultiEnvDataset":
-        """Row-subset sharing the environment registry and column metadata."""
+        """Row-subset sharing the environment registry and column metadata.
+
+        The subset is not validated again, because row selection keeps every
+        invariant ``__post_init__`` established: the selected features are
+        still a finite 2-D float matrix with the same columns, the responses
+        still lie in {0, 1}, every environment label left was registered in
+        the registry the subset shares, and the registry and column metadata
+        are reused unchanged.  The selected arrays are copies, frozen like
+        the originals.
+        """
         mask = np.asarray(mask, dtype=bool)
-        return MultiEnvDataset(
-            features=self.features[mask],
-            response=self.response[mask],
-            env_of=self.env_of[mask],
-            environments=self.environments,
-            column_names=self.column_names,
-            column_origin=self.column_origin,
-        )
+        if mask.shape != (self.n,):
+            raise ValidationError(f"mask must have shape ({self.n},), got {mask.shape}")
+        subset = copy.copy(self)
+        for name in ("features", "response", "env_of"):
+            rows = getattr(self, name)[mask]
+            rows.setflags(write=False)
+            object.__setattr__(subset, name, rows)
+        return subset
+
+
+def _label_mask(env_of: np.ndarray, labels) -> np.ndarray:
+    """Rows of ``env_of`` whose label is one of ``labels``."""
+    mask = np.zeros(env_of.shape, dtype=bool)
+    for label in labels:
+        mask |= env_of == label
+    return mask
 
 
 def partition_by_env(d: MultiEnvDataset, label: str):
@@ -169,9 +185,7 @@ def class_slice(d: MultiEnvDataset, y: int) -> MultiEnvDataset:
 
 def training_subset(d: MultiEnvDataset) -> MultiEnvDataset:
     """Rows belonging to training-role environments."""
-    train = set(d.train_labels)
-    mask = np.asarray([v in train for v in d.env_of], dtype=bool)
-    return d.take(mask)
+    return d.take(_label_mask(d.env_of, d.train_labels))
 
 
 def test_subset(d: MultiEnvDataset) -> MultiEnvDataset:
@@ -184,10 +198,11 @@ def test_subset(d: MultiEnvDataset) -> MultiEnvDataset:
 
 def class_coverage(d: MultiEnvDataset) -> dict[tuple[str, int], int]:
     """Sample count per (environment label, class) cell."""
-    counts = {(e.label, y): 0 for e in d.environments for y in (0, 1)}
-    for label, y in zip(d.env_of, d.response):
-        counts[(label, int(y))] += 1
-    return counts
+    return {
+        (e.label, y): int(np.count_nonzero((d.env_of == e.label) & (d.response == y)))
+        for e in d.environments
+        for y in (0, 1)
+    }
 
 
 def feature_groups(d: MultiEnvDataset) -> tuple[tuple[int, ...], ...]:

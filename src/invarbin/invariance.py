@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import MultiEnvDataset, training_subset
 from .errors import InsufficientDataError, ValidationError
-from .regression import fit_ols, fit_spline_additive, predict
+from .regression import fit_ols, fit_spline_additive, ols_columns, predict
 from .stats import student_t_two_sided_p, welch_t_test
 from ._workers import map_ordered
 
@@ -241,6 +241,7 @@ def batched_residual_tests(
     class_mask = {y: y_arr == y for y in (0, 1)}
     class_n = {y: int(class_mask[y].sum()) for y in (0, 1)}
     class_envs = {y: env_arr[class_mask[y]] for y in (0, 1)}
+    class_rows = {y: train.features[class_mask[y]] for y in (0, 1)}
 
     by_s: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for position, pair in enumerate(pairs):
@@ -277,11 +278,10 @@ def batched_residual_tests(
             k: {label: {} for label in labels} for k in ks
         }
         for y in (0, 1):
-            rows = train.features[class_mask[y]]
-            design = np.column_stack([np.ones(class_n[y]), rows[:, list(s)]])
+            rows = class_rows[y]
             targets = rows[:, ks]
-            coef, _, _, _ = np.linalg.lstsq(design, targets, rcond=None)
-            residuals = targets - design @ coef
+            fit, design = ols_columns(rows[:, list(s)], targets)
+            residuals = targets - design @ fit.coef
             envs_here = class_envs[y]
             for label in labels:
                 inside = residuals[envs_here == label]

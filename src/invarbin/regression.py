@@ -6,7 +6,10 @@ an explicit intercept, and are deterministic.  OLS is solved by SVD
 design is rank deficient.  The additive model expands each column in a
 natural cubic spline basis and solves a ridge problem with the intercept
 left unpenalized, so it extrapolates linearly outside the training range.
-The logistic fit is a damped Newton iteration with step halving.
+The logistic fit is a damped Newton iteration with step halving.  OLS and
+the additive model are the one-target case of :func:`ols_columns` and
+:func:`spline_columns`, which fit several targets on the same regressors
+with one solve.
 """
 
 from __future__ import annotations
@@ -101,6 +104,64 @@ class LogisticModel:
         return len(self.coef) - 1
 
 
+@dataclass(frozen=True)
+class ColumnsFit:
+    """Fits of several targets on the same regressors, solved together.
+
+    The design (an intercept column, then the regressors or their spline
+    basis) depends on the regressors alone, so one least-squares solve with
+    every target as a right-hand side fits them all.  Column j of ``coef``
+    belongs to target j.  ``terms`` is None for OLS and holds the planned
+    spline terms (kind and knots, no coefficients) for the additive model.
+    """
+
+    coef: np.ndarray
+    terms: tuple[SplineTerm, ...] | None = None
+    lam: float = 0.0
+
+    def model(self, j: int):
+        """Target j's fit as a standalone linear or additive spline model."""
+        coef = self.coef[:, j].tolist()
+        if self.terms is None:
+            return LinearModel(coef=tuple(coef))
+        terms = []
+        offset = 1
+        for term in self.terms:
+            width = _term_width(term)
+            terms.append(
+                SplineTerm(
+                    kind=term.kind,
+                    knots=term.knots,
+                    coef=tuple(coef[offset : offset + width]),
+                )
+            )
+            offset += width
+        return AdditiveSplineModel(intercept=coef[0], terms=tuple(terms), lam=self.lam)
+
+
+def ols_columns(X: np.ndarray, Y: np.ndarray) -> tuple[ColumnsFit, np.ndarray]:
+    """Least-squares fits of every column of Y on X, with an intercept.
+
+    One SVD solve (``numpy.linalg.lstsq``, default ``rcond``) serves all
+    columns; returns the fits and the design, so ``design @ fit.coef`` are
+    the fitted values.  The kernel behind :func:`fit_ols`, the residual
+    screen and the matching-pairs fits; X (n, p) and Y (n, t) must be
+    finite float arrays, which is what :func:`fit_ols` checks before
+    calling it.  Row requirements and minimum-norm semantics are those of
+    :func:`fit_ols`.
+    """
+    n, p = X.shape
+    if n < 2:
+        raise InsufficientDataError(f"fit_ols needs n >= 2 rows, got {n}")
+    if n < p + 1:
+        raise InsufficientDataError(
+            f"fit_ols needs n >= p + 1 rows for p = {p} features, got n = {n}"
+        )
+    design = np.column_stack([np.ones(n), X])
+    coef, _, _, _ = np.linalg.lstsq(design, Y, rcond=None)
+    return ColumnsFit(coef=coef), design
+
+
 def fit_ols(X, y) -> LinearModel:
     """Least-squares fit of y on X with an intercept.
 
@@ -110,16 +171,7 @@ def fit_ols(X, y) -> LinearModel:
     without error and predictions stay well defined.
     """
     X, y = _check_design(X, y)
-    n, p = X.shape
-    if n < 2:
-        raise InsufficientDataError(f"fit_ols needs n >= 2 rows, got {n}")
-    if n < p + 1:
-        raise InsufficientDataError(
-            f"fit_ols needs n >= p + 1 rows for p = {p} features, got n = {n}"
-        )
-    design = np.column_stack([np.ones(n), X])
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    return LinearModel(coef=tuple(float(c) for c in coef))
+    return ols_columns(X, y[:, None])[0].model(0)
 
 
 def _natural_spline_basis(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
@@ -163,6 +215,47 @@ def _term_columns(term: SplineTerm, x: np.ndarray) -> np.ndarray:
     return _natural_spline_basis(x, np.asarray(term.knots))
 
 
+def _term_width(term: SplineTerm) -> int:
+    if term.kind == "constant":
+        return 0
+    if term.kind == "linear":
+        return 1
+    return len(term.knots) - 1
+
+
+def spline_columns(
+    X: np.ndarray, Y: np.ndarray, n_knots: int = _SPLINE_KNOTS, lam: float = _SPLINE_LAMBDA
+) -> tuple[ColumnsFit, np.ndarray]:
+    """Additive spline fits of every column of Y on X, in one ridge solve.
+
+    The basis (knots, term kinds) is planned from X alone, so all columns
+    share one augmented system; returns the fits and the basis on the rows
+    of X, so ``basis @ fit.coef`` are the fitted values.  The kernel behind
+    :func:`fit_spline_additive`, whose docstring gives the model; X and Y
+    must be finite float arrays of shapes (n, p) and (n, t).
+    """
+    n, p = X.shape
+    if n < 2:
+        raise InsufficientDataError(f"fit_spline_additive needs n >= 2 rows, got {n}")
+    if not lam >= 0.0:
+        raise ValidationError(f"lam must be non-negative, got {lam!r}")
+    if n_knots < 1:
+        raise ValidationError(f"n_knots must be positive, got {n_knots!r}")
+
+    planned = tuple(_plan_term(X[:, j], n_knots) for j in range(p))
+    blocks = [_term_columns(term, X[:, j]) for j, term in enumerate(planned)]
+    basis = np.hstack([np.ones((n, 1))] + blocks)
+    q = basis.shape[1]
+
+    # Augmented system: ridge on every basis coefficient except the intercept.
+    penalty = np.sqrt(lam) * np.eye(q)
+    penalty[0, 0] = 0.0
+    augmented = np.vstack([basis, penalty])
+    target = np.vstack([Y, np.zeros((q, Y.shape[1]))])
+    coef, _, _, _ = np.linalg.lstsq(augmented, target, rcond=None)
+    return ColumnsFit(coef=coef, terms=planned, lam=lam), basis
+
+
 def fit_spline_additive(
     X, y, n_knots: int = _SPLINE_KNOTS, lam: float = _SPLINE_LAMBDA
 ) -> AdditiveSplineModel:
@@ -175,39 +268,7 @@ def fit_spline_additive(
     penalized, so the fit is equivariant under shifts of y.
     """
     X, y = _check_design(X, y)
-    n, p = X.shape
-    if n < 2:
-        raise InsufficientDataError(f"fit_spline_additive needs n >= 2 rows, got {n}")
-    if not lam >= 0.0:
-        raise ValidationError(f"lam must be non-negative, got {lam!r}")
-    if n_knots < 1:
-        raise ValidationError(f"n_knots must be positive, got {n_knots!r}")
-
-    planned = [_plan_term(X[:, j], n_knots) for j in range(p)]
-    blocks = [_term_columns(term, X[:, j]) for j, term in enumerate(planned)]
-    widths = [b.shape[1] for b in blocks]
-    basis = np.hstack([np.ones((n, 1))] + blocks) if blocks else np.ones((n, 1))
-    q = basis.shape[1]
-
-    # Augmented system: ridge on every basis coefficient except the intercept.
-    penalty = np.sqrt(lam) * np.eye(q)
-    penalty[0, 0] = 0.0
-    augmented = np.vstack([basis, penalty])
-    target = np.concatenate([y, np.zeros(q)])
-    coef, _, _, _ = np.linalg.lstsq(augmented, target, rcond=None)
-
-    terms = []
-    offset = 1
-    for term, width in zip(planned, widths):
-        terms.append(
-            SplineTerm(
-                kind=term.kind,
-                knots=term.knots,
-                coef=tuple(float(c) for c in coef[offset : offset + width]),
-            )
-        )
-        offset += width
-    return AdditiveSplineModel(intercept=float(coef[0]), terms=tuple(terms), lam=lam)
+    return spline_columns(X, y[:, None], n_knots=n_knots, lam=lam)[0].model(0)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

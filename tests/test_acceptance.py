@@ -188,6 +188,7 @@ def _benchmark_replicate(r):
     return out
 
 
+@pytest.mark.slow
 def test_benchmark_median_accuracy_ordering(capsys):
     started = time.perf_counter()
     rows = map_ordered(_benchmark_replicate, range(200), worker_count(None))
@@ -217,6 +218,7 @@ def test_benchmark_median_accuracy_ordering(capsys):
     )
 
 
+@pytest.mark.slow
 def test_invariance_test_calibration_on_invariant_data(capsys):
     rejected = 0
     for seed in range(200):

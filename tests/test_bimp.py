@@ -8,6 +8,7 @@ from invarbin import (
     DegeneratePairError,
     DegenerateResponseError,
     Environment,
+    InsufficientDataError,
     LinearModel,
     MultiEnvDataset,
     Pair,
@@ -17,10 +18,12 @@ from invarbin import (
     ValidationError,
     bimp_ratio,
     bimp_to_dict,
+    draw_benchmark_config,
     enumerate_pairs,
     fit_bimp,
     fit_pair_model,
     gen_anchor,
+    gen_benchmark,
     normal_cdf,
     philox_generator,
     predict_bimp,
@@ -275,3 +278,34 @@ def test_bimp_to_dict_serializes():
     parsed = json.loads(text)
     assert parsed["variant"] == "linear"
     assert parsed["counts"]["kept"] == len(model.pair_models)
+
+
+def thin_target(n_test):
+    """Benchmark family seed 2 (m = 7) with the test environment cut to n_test rows."""
+    d = gen_benchmark(draw_benchmark_config(2))
+    test = d.rows_in(d.test_label)
+    return d.take(~test | (test & (np.cumsum(test) <= n_test)))
+
+
+@pytest.mark.parametrize("variant", ["linear", "gam"])
+def test_fit_bimp_skips_pairs_the_target_rows_cannot_fit(variant):
+    # four target rows cannot carry an OLS marginal on |S| >= 4 columns
+    d = thin_target(4)
+    model = fit_bimp(d, variant=variant, max_subset_size=5)
+    counts = model.counts
+    if variant == "linear":
+        assert counts["skipped_target"] > 0
+    assert counts["kept"] + counts["dropped_degenerate"] <= counts["accepted"] - counts["skipped_target"]
+    assert not model.abstained
+    prediction = predict_bimp(model, held_out_subset(d).features)
+    assert np.all((prediction.probabilities >= 0.0) & (prediction.probabilities <= 1.0))
+
+
+@pytest.mark.parametrize("variant", ["linear", "gam"])
+def test_fit_bimp_abstains_when_no_accepted_pair_fits_the_target(variant):
+    d = thin_target(1)
+    model = fit_bimp(d, variant=variant, max_subset_size=5)
+    assert model.abstained
+    assert model.counts["skipped_target"] == model.counts["accepted"] > 0
+    with pytest.raises(InsufficientDataError):
+        fit_pair_model(d, Pair(k=0, s=()), variant=variant)

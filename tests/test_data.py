@@ -86,6 +86,17 @@ def test_partition_complement():
     assert "b" not in set(outside.env_of)
 
 
+def test_take_keeps_invariants_and_checks_the_mask():
+    d = small_dataset()
+    sub = d.take(d.response == 1)
+    assert sub.n == 3 and sub.env_sizes() == {"a": 1, "b": 1, "t": 1}
+    assert sub.environments == d.environments and sub.column_names == d.column_names
+    with pytest.raises(ValueError):
+        sub.features[0, 0] = 9.0
+    with pytest.raises(ValidationError):
+        d.take(np.ones(d.n - 1, dtype=bool))
+
+
 def test_training_and_test_subsets():
     d = small_dataset()
     train = training_subset(d)

@@ -14,6 +14,7 @@ from invarbin import (
     model_to_dict,
     predict,
 )
+from invarbin.regression import ols_columns, spline_columns
 
 
 def normal_equations(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -216,3 +217,16 @@ def test_spline_model_repr_types():
     model = fit_spline_additive(x[:, None], x)
     assert isinstance(model, AdditiveSplineModel)
     assert len(model.terms) == 1
+
+
+def test_column_fits_match_one_column_fits():
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(150, 3))
+    Y = X @ rng.normal(size=(3, 4)) + np.sin(3.0 * X[:, :1]) + rng.normal(size=(150, 4))
+    for columns, single in ((ols_columns, fit_ols), (spline_columns, fit_spline_additive)):
+        fit, design = columns(X, Y)
+        fitted = design @ fit.coef
+        for j in range(Y.shape[1]):
+            want = predict(single(X, Y[:, j]), X)
+            assert np.max(np.abs(predict(fit.model(j), X) - want)) < 1e-12
+            assert np.max(np.abs(fitted[:, j] - want)) < 1e-12
