@@ -9,19 +9,16 @@ guess when the intersection is empty or nothing is accepted.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .data import MultiEnvDataset, feature_groups, training_subset
+from .data import MultiEnvDataset, training_subset
 from .errors import ValidationError
+from .invariance import conditioning_sets, search_groups
 from .regression import LogisticModel, fit_logistic, predict
 from .stats import bonferroni_combine, welch_t_test
-from ._workers import map_ordered
-
-_DEFAULT_SUBSET_CAP = 3
 
 
 def fit_lr_baseline(d: MultiEnvDataset) -> LogisticModel:
@@ -60,26 +57,11 @@ class IcpResult:
     pvals: Mapping[tuple[int, ...], float]
 
 
-def _subsets(
-    m: int, max_subset_size: int | None, groups: Sequence[Sequence[int]] | None
-) -> list[tuple[int, ...]]:
-    if groups is None:
-        groups = [(j,) for j in range(m)]
-    cap = _DEFAULT_SUBSET_CAP if max_subset_size is None else max_subset_size
-    cap = min(cap, len(groups))
-    out: list[tuple[int, ...]] = []
-    for size in range(cap + 1):
-        for chosen in itertools.combinations(range(len(groups)), size):
-            out.append(tuple(sorted(j for i in chosen for j in groups[i])))
-    return out
-
-
 def fit_icp(
     d: MultiEnvDataset,
     alpha: float = 0.1,
     max_subset_size: int | None = None,
     group_one_hot: bool = True,
-    n_workers: int = 1,
 ) -> IcpResult:
     """Search feature subsets whose pooled fit is environment-invariant.
 
@@ -98,12 +80,7 @@ def fit_icp(
     if len(labels) < 2:
         raise ValidationError("invariant-set search needs at least two training environments")
 
-    groups = None
-    if group_one_hot:
-        grouped = feature_groups(d)
-        if any(len(g) > 1 for g in grouped):
-            groups = grouped
-    subsets = _subsets(train.m, max_subset_size, groups)
+    subsets = conditioning_sets(search_groups(d, group_one_hot), max_subset_size)
     env_arr = train.env_of
 
     def test_subset_cols(cols: tuple[int, ...]) -> float:
@@ -117,8 +94,7 @@ def fit_icp(
             per_env.append(welch_t_test(inside, outside).p_value)
         return bonferroni_combine(per_env)
 
-    pvals_list = map_ordered(test_subset_cols, subsets, n_workers)
-    pvals = dict(zip(subsets, pvals_list))
+    pvals = {cols: test_subset_cols(cols) for cols in subsets}
     accepted = tuple(cols for cols in subsets if pvals[cols] > alpha)
 
     if not accepted:

@@ -17,7 +17,6 @@ tracked explicitly (degenerate mask) rather than silently clamped.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,6 +36,8 @@ from .invariance import (
     InvarianceReport,
     Pair,
     batched_residual_tests,
+    conditioning_sets,
+    search_groups,
 )
 # fit_ols is not called here any more; it stays importable as bimp.fit_ols
 # because the benchmark's tracer self-test checks that binding.
@@ -52,7 +53,6 @@ from .regression import (
 VARIANT_LINEAR = "linear"
 VARIANT_GAM = "gam"
 
-_DEFAULT_SUBSET_CAP = 3
 _DEGENERATE_DROP_FRACTION = 0.5
 
 
@@ -115,27 +115,19 @@ def enumerate_pairs(
     """All candidate pairs in deterministic graded-lexicographic order.
 
     k sweeps the columns in ascending order; for each k the conditioning
-    sets are unions of whole groups not containing k, enumerated by group
-    count (empty set first) and lexicographically within a count.  Without
-    explicit groups every column is its own group.  ``max_subset_size``
-    bounds the number of groups in a conditioning set; the default is
-    min(3, available groups).
+    sets are the :func:`invarbin.invariance.conditioning_sets` of the
+    groups not containing k (empty set first).  Without explicit groups
+    every column is its own group.  ``max_subset_size`` bounds the number of
+    groups in a conditioning set; the default is min(3, available groups).
     """
     if m < 1:
         raise ValidationError(f"need at least one column, got m = {m}")
-    if max_subset_size is not None and max_subset_size < 0:
-        raise ValidationError(f"max_subset_size must be non-negative, got {max_subset_size}")
     grouped = _as_groups(m, groups)
-    pairs: list[Pair] = []
-    for k in range(m):
-        candidates = [g for g in grouped if k not in g]
-        cap = _DEFAULT_SUBSET_CAP if max_subset_size is None else max_subset_size
-        cap = min(cap, len(candidates))
-        for size in range(cap + 1):
-            for chosen in itertools.combinations(range(len(candidates)), size):
-                columns = tuple(sorted(j for i in chosen for j in candidates[i]))
-                pairs.append(Pair(k=k, s=columns))
-    return tuple(pairs)
+    return tuple(
+        Pair(k=k, s=s)
+        for k in range(m)
+        for s in conditioning_sets([g for g in grouped if k not in g], max_subset_size)
+    )
 
 
 @dataclass(frozen=True)
@@ -449,7 +441,6 @@ def fit_bimp(
     eps_den: float = 1e-6,
     bonferroni_scope: str = SCOPE_ENV,
     group_one_hot: bool = True,
-    n_workers: int = 1,
 ) -> BimpModel:
     """Run the full pipeline on a dataset with training and test environments.
 
@@ -471,19 +462,11 @@ def fit_bimp(
     if d.test_label is None:
         raise ValidationError("dataset declares no test environment")
 
-    groups = None
-    if group_one_hot:
-        from .data import feature_groups
-
-        grouped = feature_groups(d)
-        if any(len(g) > 1 for g in grouped):
-            groups = grouped
+    groups = search_groups(d, group_one_hot)
     pairs = enumerate_pairs(d.m, max_subset_size=max_subset_size, groups=groups)
 
     reports = tuple(
-        batched_residual_tests(
-            d, pairs, alpha=alpha, bonferroni_scope=bonferroni_scope, n_workers=n_workers
-        )
+        batched_residual_tests(d, pairs, alpha=alpha, bonferroni_scope=bonferroni_scope)
     )
     counts = {
         "enumerated": len(pairs),

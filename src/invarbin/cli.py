@@ -51,7 +51,6 @@ from .simgen import (
     gen_benchmark,
     reference_anchor_config,
 )
-from ._workers import map_ordered, worker_count
 
 METHODS = ("bimp-linear", "bimp-gam", "lr", "icp")
 
@@ -287,7 +286,6 @@ def _run_method(method: str, d: MultiEnvDataset, opts: dict) -> dict:
             tau=opts["tau"],
             eps_den=opts["eps_den"],
             bonferroni_scope=opts["bonferroni_scope"],
-            n_workers=opts["n_workers"],
         )
         result["model"] = model
         result["abstained"] = model.abstained
@@ -303,12 +301,7 @@ def _run_method(method: str, d: MultiEnvDataset, opts: dict) -> dict:
         result["probs"] = predict(model, test.features)
         result["labels"] = (result["probs"] >= 0.5).astype(np.int64)
     elif method == "icp":
-        fitted = fit_icp(
-            d,
-            alpha=opts["alpha"],
-            max_subset_size=opts["max_subset_size"],
-            n_workers=opts["n_workers"],
-        )
+        fitted = fit_icp(d, alpha=opts["alpha"], max_subset_size=opts["max_subset_size"])
         result["model"] = fitted
         result["abstained"] = fitted.abstained
         if not fitted.abstained:
@@ -334,6 +327,20 @@ def _run_method(method: str, d: MultiEnvDataset, opts: dict) -> dict:
         seconds=elapsed if opts.get("timing") else 0.0,
     )
     return result
+
+
+def _model_opts(args, **overrides) -> dict:
+    """The fit options :func:`_run_method` reads, from the common model flags."""
+    opts = {
+        "alpha": args.alpha,
+        "max_subset_size": args.max_subset_size,
+        "tau": args.tau,
+        "eps_den": args.eps_den,
+        "bonferroni_scope": args.bonferroni_scope,
+        "timing": args.timing,
+    }
+    opts.update(overrides)
+    return opts
 
 
 def _summary_rows(summaries: list[RunSummary]) -> list[list]:
@@ -443,15 +450,7 @@ def cmd_fit_predict(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     d = _load_datafiles(args.data, args)
     methods = _resolve_methods(args.methods, args.variant)
-    opts = {
-        "alpha": args.alpha,
-        "max_subset_size": args.max_subset_size,
-        "tau": args.tau,
-        "eps_den": args.eps_den,
-        "bonferroni_scope": args.bonferroni_scope,
-        "n_workers": worker_count(args.workers),
-        "timing": args.timing,
-    }
+    opts = _model_opts(args)
     summaries = []
     for method in methods:
         result = _run_method(method, d, opts)
@@ -526,26 +525,13 @@ def cmd_reproduce_fig1(args) -> int:
 def cmd_reproduce_fig2(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     n = args.n_per_env or 1000
-    replicates = args.replicates
-
-    def run_replicate(r: int) -> list[RunSummary]:
+    summaries = []
+    for r in range(args.replicates):
         cfg = draw_benchmark_config(args.seed + r, n_per_env=n)
         d = gen_benchmark(cfg)
         cap = args.max_subset_size if args.max_subset_size is not None else cfg.m - 1
-        opts = {
-            "alpha": args.alpha,
-            "max_subset_size": cap,
-            "tau": args.tau,
-            "eps_den": args.eps_den,
-            "bonferroni_scope": args.bonferroni_scope,
-            "n_workers": 1,
-            "replicate": r,
-            "timing": args.timing,
-        }
-        return [_run_method(method, d, opts)["summary"] for method in METHODS]
-
-    chunks = map_ordered(run_replicate, range(replicates), worker_count(args.workers))
-    summaries = [s for chunk in chunks for s in chunk]
+        opts = _model_opts(args, max_subset_size=cap, replicate=r)
+        summaries.extend(_run_method(method, d, opts)["summary"] for method in METHODS)
     _write_csv(
         os.path.join(args.out, "fig2_replicates.csv"),
         _SUMMARY_HEADER,
@@ -654,33 +640,28 @@ def _census_dataset(rows, split_column: str, predicate) -> MultiEnvDataset:
     return encode_table(header, derived, spec)
 
 
-def cmd_reproduce_table1(args) -> int:
-    rows = _read_raw_table(args.census_path, CENSUS_COLUMNS, CENSUS_INSTRUCTIONS)
-    os.makedirs(args.out, exist_ok=True)
-    opts = {
-        "alpha": args.alpha,
-        "max_subset_size": args.max_subset_size,
-        "tau": args.tau,
-        "eps_den": args.eps_den,
-        "bonferroni_scope": args.bonferroni_scope,
-        "n_workers": worker_count(args.workers),
-        "timing": args.timing,
-    }
+def _run_table(args, path: str, experiments) -> int:
+    """Every method on each (experiment name, dataset) pair; one CSV row each."""
+    opts = _model_opts(args)
     table_rows = []
-    for name, split_column, predicate in _census_experiments():
-        d = _census_dataset(rows, split_column, predicate)
+    for name, d in experiments:
         for method in METHODS:
-            result = _run_method(method, d, opts)
-            s = result["summary"]
+            s = _run_method(method, d, opts)["summary"]
             table_rows.append([name, method, s.accuracy, s.abstained, s.n_pairs])
             shown = "abstained" if s.abstained else f"{s.accuracy:.4f}"
             print(f"{name} / {method}: {shown}")
-    _write_csv(
-        os.path.join(args.out, "table1.csv"),
-        ["experiment", "method", "accuracy", "abstained", "n_pairs"],
-        table_rows,
-    )
+    _write_csv(path, ["experiment", "method", "accuracy", "abstained", "n_pairs"], table_rows)
     return 0
+
+
+def cmd_reproduce_table1(args) -> int:
+    rows = _read_raw_table(args.census_path, CENSUS_COLUMNS, CENSUS_INSTRUCTIONS)
+    os.makedirs(args.out, exist_ok=True)
+    experiments = (
+        (name, _census_dataset(rows, split_column, predicate))
+        for name, split_column, predicate in _census_experiments()
+    )
+    return _run_table(args, os.path.join(args.out, "table1.csv"), experiments)
 
 
 def _mushroom_dataset(rows, test_habitat: str) -> MultiEnvDataset:
@@ -709,30 +690,11 @@ def _mushroom_dataset(rows, test_habitat: str) -> MultiEnvDataset:
 def cmd_reproduce_table2(args) -> int:
     rows = _read_raw_table(args.mushroom_path, MUSHROOM_COLUMNS, MUSHROOM_INSTRUCTIONS)
     os.makedirs(args.out, exist_ok=True)
-    opts = {
-        "alpha": args.alpha,
-        "max_subset_size": args.max_subset_size,
-        "tau": args.tau,
-        "eps_den": args.eps_den,
-        "bonferroni_scope": args.bonferroni_scope,
-        "n_workers": worker_count(args.workers),
-        "timing": args.timing,
-    }
-    table_rows = []
-    for name, habitat in (("meadows", "m"), ("paths", "p")):
-        d = _mushroom_dataset(rows, habitat)
-        for method in METHODS:
-            result = _run_method(method, d, opts)
-            s = result["summary"]
-            table_rows.append([name, method, s.accuracy, s.abstained, s.n_pairs])
-            shown = "abstained" if s.abstained else f"{s.accuracy:.4f}"
-            print(f"{name} / {method}: {shown}")
-    _write_csv(
-        os.path.join(args.out, "table2.csv"),
-        ["experiment", "method", "accuracy", "abstained", "n_pairs"],
-        table_rows,
+    experiments = (
+        (name, _mushroom_dataset(rows, habitat))
+        for name, habitat in (("meadows", "m"), ("paths", "p"))
     )
-    return 0
+    return _run_table(args, os.path.join(args.out, "table2.csv"), experiments)
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -759,7 +721,6 @@ def _add_common_model_flags(p: argparse.ArgumentParser) -> None:
         default=SCOPE_ENV,
         help="multiplicity correction scope (default: env)",
     )
-    p.add_argument("--workers", type=int, default=None, help="worker threads (capped by INVARBIN_THREADS)")
     p.add_argument("--timing", action="store_true", help="record wall-clock seconds in outputs")
 
 

@@ -170,19 +170,6 @@ def _label_mask(env_of: np.ndarray, labels) -> np.ndarray:
     return mask
 
 
-def partition_by_env(d: MultiEnvDataset, label: str):
-    """Split into (rows in ``label``, rows outside it); registry is shared."""
-    mask = d.rows_in(label)
-    return d.take(mask), d.take(~mask)
-
-
-def class_slice(d: MultiEnvDataset, y: int) -> MultiEnvDataset:
-    """Rows whose response equals ``y`` (0 or 1)."""
-    if y not in (0, 1):
-        raise ValidationError(f"class must be 0 or 1, got {y!r}")
-    return d.take(d.response == y)
-
-
 def training_subset(d: MultiEnvDataset) -> MultiEnvDataset:
     """Rows belonging to training-role environments."""
     return d.take(_label_mask(d.env_of, d.train_labels))
@@ -194,15 +181,6 @@ def test_subset(d: MultiEnvDataset) -> MultiEnvDataset:
     if label is None:
         raise ValidationError("dataset has no test environment")
     return d.take(d.rows_in(label))
-
-
-def class_coverage(d: MultiEnvDataset) -> dict[tuple[str, int], int]:
-    """Sample count per (environment label, class) cell."""
-    return {
-        (e.label, y): int(np.count_nonzero((d.env_of == e.label) & (d.response == y)))
-        for e in d.environments
-        for y in (0, 1)
-    }
 
 
 def feature_groups(d: MultiEnvDataset) -> tuple[tuple[int, ...], ...]:

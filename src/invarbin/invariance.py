@@ -14,21 +14,25 @@ never treated as accepted downstream.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import MultiEnvDataset, training_subset
-from .errors import InsufficientDataError, ValidationError
-from .regression import fit_ols, fit_spline_additive, ols_columns, predict
-from .stats import student_t_two_sided_p, welch_t_test
-from ._workers import map_ordered
+from .data import MultiEnvDataset, feature_groups, training_subset
+from .errors import ValidationError
+# fit_ols is not called here any more; it stays importable as
+# invariance.fit_ols because the benchmark's tracer self-test checks that
+# binding.
+from .regression import fit_ols, ols_columns  # noqa: F401
+from .stats import welch_columns
 
 SCOPE_ENV = "env"
 SCOPE_ENV_AND_CLASS = "env-and-class"
 
 _MIN_CELL = 2
+_DEFAULT_SUBSET_CAP = 3
 
 
 @dataclass(frozen=True, order=True)
@@ -84,112 +88,49 @@ def report_to_dict(report: InvarianceReport) -> dict:
     }
 
 
+def search_groups(d: MultiEnvDataset, group_one_hot: bool = True) -> tuple[tuple[int, ...], ...]:
+    """The column groups a search moves as units.
+
+    With ``group_one_hot`` these are the raw-column groups of
+    :func:`invarbin.data.feature_groups` (a one-hot block is one group);
+    otherwise every column is its own group.
+    """
+    if group_one_hot:
+        return feature_groups(d)
+    return tuple((j,) for j in range(d.m))
+
+
+def conditioning_sets(
+    groups: Sequence[Sequence[int]], max_subset_size: int | None = None
+) -> list[tuple[int, ...]]:
+    """Unions of whole groups, in graded-lexicographic order.
+
+    Sets are enumerated by group count (empty set first) and
+    lexicographically within a count, each as a sorted column tuple.
+    ``max_subset_size`` bounds the number of groups in a set; the default
+    is min(3, number of groups).
+    """
+    if max_subset_size is not None and max_subset_size < 0:
+        raise ValidationError(f"max_subset_size must be non-negative, got {max_subset_size}")
+    cap = _DEFAULT_SUBSET_CAP if max_subset_size is None else max_subset_size
+    return [
+        tuple(sorted(j for group in chosen for j in group))
+        for size in range(min(cap, len(groups)) + 1)
+        for chosen in itertools.combinations(groups, size)
+    ]
+
+
 def residual_distribution_test(
     d: MultiEnvDataset,
     pair: Pair,
     alpha: float = 0.1,
-    regressor: str = "ols",
     bonferroni_scope: str = SCOPE_ENV,
 ) -> InvarianceReport:
     """Test one pair on the training environments of ``d``.
 
-    The pooled per-class regression uses OLS by default ("spline" switches
-    to the additive model).  Per environment and class, a two-sided Welch
-    t-test compares in-environment against out-of-environment residuals;
-    p-values are Bonferroni-adjusted by the number of training environments
-    ("env" scope) or by twice that ("env-and-class").  The pair is accepted
-    only if every adjusted p-value exceeds ``alpha``.
+    The one-pair case of :func:`batched_residual_tests`.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if regressor not in ("ols", "spline"):
-        raise ValidationError(f"unknown regressor {regressor!r}")
-    if bonferroni_scope not in (SCOPE_ENV, SCOPE_ENV_AND_CLASS):
-        raise ValidationError(f"unknown bonferroni scope {bonferroni_scope!r}")
-
-    train = training_subset(d)
-    labels = train.train_labels
-    if len(labels) < 2:
-        raise ValidationError("residual test needs at least two training environments")
-    if pair.k >= train.m or (pair.s and max(pair.s) >= train.m):
-        raise ValidationError(f"pair {pair} references columns beyond m = {train.m}")
-
-    env_arr = train.env_of
-    y_arr = train.response
-    for label in labels:
-        for y in (0, 1):
-            count = int(np.sum((env_arr == label) & (y_arr == y)))
-            if count < _MIN_CELL:
-                return InvarianceReport(
-                    pair=pair,
-                    verdict="skipped",
-                    alpha=alpha,
-                    reason=f"environment {label!r} has {count} samples of class {y}",
-                )
-
-    factor = len(labels) if bonferroni_scope == SCOPE_ENV else 2 * len(labels)
-    s_cols = list(pair.s)
-    fit = fit_ols if regressor == "ols" else fit_spline_additive
-
-    residuals: dict[int, np.ndarray] = {}
-    class_envs: dict[int, np.ndarray] = {}
-    for y in (0, 1):
-        mask = y_arr == y
-        X_s = train.features[np.ix_(mask, s_cols)] if s_cols else train.features[mask][:, :0]
-        x_k = train.features[mask, pair.k]
-        try:
-            g_hat = fit(X_s, x_k)
-        except InsufficientDataError as exc:
-            return InvarianceReport(
-                pair=pair, verdict="skipped", alpha=alpha, reason=str(exc)
-            )
-        residuals[y] = x_k - predict(g_hat, X_s)
-        class_envs[y] = env_arr[mask]
-
-    pvals: dict[str, dict[int, float]] = {}
-    raw: dict[str, dict[int, float]] = {}
-    for label in labels:
-        pvals[label] = {}
-        raw[label] = {}
-        for y in (0, 1):
-            inside = residuals[y][class_envs[y] == label]
-            outside = residuals[y][class_envs[y] != label]
-            try:
-                result = welch_t_test(inside, outside)
-            except InsufficientDataError as exc:
-                return InvarianceReport(
-                    pair=pair, verdict="skipped", alpha=alpha, reason=str(exc)
-                )
-            raw[label][y] = result.p_value
-            pvals[label][y] = min(1.0, factor * result.p_value)
-
-    worst = min(p for by in pvals.values() for p in by.values())
-    verdict = "accepted" if worst > alpha else "rejected"
-    return InvarianceReport(
-        pair=pair, verdict=verdict, alpha=alpha, pvals=pvals, raw_pvals=raw
-    )
-
-
-def _welch_columns(inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
-    """Column-wise two-sided Welch p-values for two residual blocks.
-
-    Matches :func:`invarbin.stats.welch_t_test` up to float summation
-    order; zero-variance columns are decided by their means.
-    """
-    n_in, n_out = inside.shape[0], outside.shape[0]
-    mean_in = inside.mean(axis=0)
-    mean_out = outside.mean(axis=0)
-    va = inside.var(axis=0, ddof=1) / n_in
-    vb = outside.var(axis=0, ddof=1) / n_out
-    se2 = va + vb
-    p = np.empty(inside.shape[1])
-    flat = se2 == 0.0
-    p[flat] = np.where(mean_in[flat] == mean_out[flat], 1.0, 0.0)
-    live = ~flat
-    t = (mean_in[live] - mean_out[live]) / np.sqrt(se2[live])
-    df = se2[live] ** 2 / (va[live] ** 2 / (n_in - 1) + vb[live] ** 2 / (n_out - 1))
-    p[live] = [student_t_two_sided_p(float(ti), float(di)) for ti, di in zip(t, df)]
-    return p
+    return batched_residual_tests(d, [pair], alpha=alpha, bonferroni_scope=bonferroni_scope)[0]
 
 
 def batched_residual_tests(
@@ -197,15 +138,20 @@ def batched_residual_tests(
     pairs,
     alpha: float = 0.1,
     bonferroni_scope: str = SCOPE_ENV,
-    n_workers: int = 1,
 ) -> list[InvarianceReport]:
-    """Run the residual-distribution test for many pairs at once.
+    """Run the residual-distribution test on every pair, in input order.
 
-    Semantically equivalent to calling :func:`residual_distribution_test`
-    (with the default OLS regressor) on every pair, but pairs sharing a
-    conditioning set S reuse one least-squares factorization with all their
-    k columns as simultaneous right-hand sides, which is what makes wide
-    one-hot searches affordable.  Reports come back in input order.
+    Per class, column k is regressed on the columns in S by OLS over the
+    pooled training rows.  Per training environment and class, a two-sided
+    Welch t-test compares in-environment against out-of-environment
+    residuals; p-values are Bonferroni-adjusted by the number of training
+    environments ("env" scope) or by twice that ("env-and-class").  A pair
+    is accepted only if every adjusted p-value exceeds ``alpha``.  Pairs
+    are skipped when an (environment, class) cell has fewer than two rows or
+    a class has too few pooled rows for |S| + 1 coefficients.
+
+    Pairs sharing a conditioning set S are fitted with one least-squares
+    solve, all their k columns as right-hand sides, and tested together.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -220,99 +166,57 @@ def batched_residual_tests(
         if pair.k >= train.m or (pair.s and max(pair.s) >= train.m):
             raise ValidationError(f"pair {pair} references columns beyond m = {train.m}")
 
-    factor = len(labels) if bonferroni_scope == SCOPE_ENV else 2 * len(labels)
+    def skipped(pair: Pair, reason: str) -> InvarianceReport:
+        return InvarianceReport(pair=pair, verdict="skipped", alpha=alpha, reason=reason)
+
     env_arr = train.env_of
     y_arr = train.response
-    thin: str | None = None
     for label in labels:
         for y in (0, 1):
             count = int(np.sum((env_arr == label) & (y_arr == y)))
             if count < _MIN_CELL:
-                thin = f"environment {label!r} has {count} samples of class {y}"
-                break
-        if thin:
-            break
-    if thin is not None:
-        return [
-            InvarianceReport(pair=pair, verdict="skipped", alpha=alpha, reason=thin)
-            for pair in pairs
-        ]
+                reason = f"environment {label!r} has {count} samples of class {y}"
+                return [skipped(pair, reason) for pair in pairs]
 
-    class_mask = {y: y_arr == y for y in (0, 1)}
-    class_n = {y: int(class_mask[y].sum()) for y in (0, 1)}
-    class_envs = {y: env_arr[class_mask[y]] for y in (0, 1)}
-    class_rows = {y: train.features[class_mask[y]] for y in (0, 1)}
+    factor = len(labels) if bonferroni_scope == SCOPE_ENV else 2 * len(labels)
+    classes = [(train.features[y_arr == y], env_arr[y_arr == y]) for y in (0, 1)]
+    by_s: dict[tuple[int, ...], list[Pair]] = {}
+    for pair in pairs:
+        by_s.setdefault(pair.s, []).append(pair)
 
-    by_s: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for position, pair in enumerate(pairs):
-        by_s.setdefault(pair.s, []).append((position, pair.k))
-
-    reports: list[InvarianceReport | None] = [None] * len(pairs)
-
-    def run_group(s: tuple[int, ...]) -> list[tuple[int, InvarianceReport]]:
-        members = by_s[s]
-        ks = [k for _, k in members]
-        out: list[tuple[int, InvarianceReport]] = []
-        needed = len(s) + 1
-        short = [y for y in (0, 1) if class_n[y] < max(2, needed)]
+    reports: dict[Pair, InvarianceReport] = {}
+    for s, members in by_s.items():
+        needed = max(2, len(s) + 1)
+        short = [y for y, (rows, _) in enumerate(classes) if rows.shape[0] < needed]
         if short:
             reason = (
-                f"class {short[0]} has {class_n[short[0]]} pooled samples, "
-                f"fewer than {max(2, needed)} required for |S| = {len(s)}"
+                f"class {short[0]} has {classes[short[0]][0].shape[0]} pooled samples, "
+                f"fewer than {needed} required for |S| = {len(s)}"
             )
-            for position, pair_k in members:
-                out.append(
-                    (
-                        position,
-                        InvarianceReport(
-                            pair=Pair(k=pair_k, s=s),
-                            verdict="skipped",
-                            alpha=alpha,
-                            reason=reason,
-                        ),
-                    )
-                )
-            return out
-
-        raw_by_k: dict[int, dict[str, dict[int, float]]] = {
-            k: {label: {} for label in labels} for k in ks
-        }
-        for y in (0, 1):
-            rows = class_rows[y]
+            reports.update((pair, skipped(pair, reason)) for pair in members)
+            continue
+        ks = [pair.k for pair in members]
+        raw = [{label: {} for label in labels} for _ in members]
+        for y, (rows, envs) in enumerate(classes):
             targets = rows[:, ks]
             fit, design = ols_columns(rows[:, list(s)], targets)
             residuals = targets - design @ fit.coef
-            envs_here = class_envs[y]
             for label in labels:
-                inside = residuals[envs_here == label]
-                outside = residuals[envs_here != label]
-                p_cols = _welch_columns(inside, outside)
-                for k, p in zip(ks, p_cols):
-                    raw_by_k[k][label][y] = float(p)
-        for position, k in members:
-            raw = raw_by_k[k]
+                inside = envs == label
+                _, _, p_cols = welch_columns(residuals[inside], residuals[~inside])
+                for by_env, p in zip(raw, p_cols):
+                    by_env[label][y] = float(p)
+        for pair, by_env in zip(members, raw):
             adjusted = {
-                label: {y: min(1.0, factor * raw[label][y]) for y in (0, 1)}
-                for label in labels
+                label: {y: min(1.0, factor * p) for y, p in by.items()}
+                for label, by in by_env.items()
             }
             worst = min(p for by in adjusted.values() for p in by.values())
-            verdict = "accepted" if worst > alpha else "rejected"
-            out.append(
-                (
-                    position,
-                    InvarianceReport(
-                        pair=Pair(k=k, s=s),
-                        verdict=verdict,
-                        alpha=alpha,
-                        pvals=adjusted,
-                        raw_pvals=raw,
-                    ),
-                )
+            reports[pair] = InvarianceReport(
+                pair=pair,
+                verdict="accepted" if worst > alpha else "rejected",
+                alpha=alpha,
+                pvals=adjusted,
+                raw_pvals=by_env,
             )
-        return out
-
-    groups = sorted(by_s)
-    for chunk in map_ordered(run_group, groups, n_workers):
-        for position, report in chunk:
-            reports[position] = report
-    return [r for r in reports if r is not None]
+    return [reports[pair] for pair in pairs]

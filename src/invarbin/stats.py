@@ -1,15 +1,19 @@
-"""Scalar statistics built on ``math``: normal CDF, Welch's t-test, Bonferroni.
+"""Statistics: normal CDF, Welch's t-test, Bonferroni.
 
-Kept dependency-free on purpose.  The Student-t tail probability is computed
-through the regularized incomplete beta function, evaluated with a modified
-Lentz continued fraction driven to a 1e-10 convergence target, which is more
-than enough headroom for the 1e-6 agreement the test suite demands.
+The Student-t tail probability is computed through the regularized
+incomplete beta function, evaluated with a modified Lentz continued fraction
+driven to a 1e-10 convergence target, which is more than enough headroom
+for the 1e-6 agreement the test suite demands.  Welch's test has one
+implementation, :func:`welch_columns`, which tests many columns at once;
+:func:`welch_t_test` is its checked one-column case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InsufficientDataError, ValidationError
 
@@ -120,40 +124,52 @@ class TTestResult:
     p_value: float
 
 
+def welch_columns(
+    inside: np.ndarray, outside: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-sided Welch t-tests, column by column: (t, df, p) arrays.
+
+    Column j of ``inside`` is compared with column j of ``outside``; both
+    blocks need at least two rows and finite entries, which callers
+    guarantee.  Degrees of freedom follow Welch-Satterthwaite.  A column
+    whose two sample variances are both zero is decided by its means: p = 1
+    (t = 0) when they agree, p = 0 (t infinite, signed by the difference)
+    when they do not, with df = n_inside + n_outside - 2.
+    """
+    n_in, n_out = inside.shape[0], outside.shape[0]
+    diff = inside.mean(axis=0) - outside.mean(axis=0)
+    va = inside.var(axis=0, ddof=1) / n_in
+    vb = outside.var(axis=0, ddof=1) / n_out
+    se2 = va + vb
+    t = np.where(diff == 0.0, 0.0, np.copysign(np.inf, diff))
+    df = np.full(diff.shape, float(n_in + n_out - 2))
+    p = np.where(diff == 0.0, 1.0, 0.0)
+    live = se2 > 0.0
+    t[live] = diff[live] / np.sqrt(se2[live])
+    df[live] = se2[live] ** 2 / (va[live] ** 2 / (n_in - 1) + vb[live] ** 2 / (n_out - 1))
+    p[live] = [student_t_two_sided_p(float(ti), float(di)) for ti, di in zip(t[live], df[live])]
+    return t, df, p
+
+
 def welch_t_test(a, b) -> TTestResult:
     """Two-sided Welch t-test for equality of means of two samples.
 
     Variances are not assumed equal; degrees of freedom follow the
     Welch-Satterthwaite approximation.  Each sample needs at least two
-    observations.  If both sample variances are exactly zero the test is
-    decided by the means alone: p = 1 when they agree, p = 0 when they do
-    not (reported with an infinite t statistic).
+    observations, all finite.  If both sample variances are exactly zero the
+    test is decided by the means alone: p = 1 when they agree, p = 0 when
+    they do not (reported with an infinite t statistic).
     """
-    a = [float(v) for v in a]
-    b = [float(v) for v in b]
-    n_a, n_b = len(a), len(b)
-    if n_a < 2 or n_b < 2:
+    a = np.asarray(a, dtype=float).reshape(-1)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if a.size < 2 or b.size < 2:
         raise InsufficientDataError(
-            f"welch_t_test needs >= 2 observations per sample, got {n_a} and {n_b}"
+            f"welch_t_test needs >= 2 observations per sample, got {a.size} and {b.size}"
         )
-    if not all(math.isfinite(v) for v in a) or not all(math.isfinite(v) for v in b):
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValidationError("welch_t_test requires finite samples")
-    mean_a = math.fsum(a) / n_a
-    mean_b = math.fsum(b) / n_b
-    var_a = math.fsum((v - mean_a) ** 2 for v in a) / (n_a - 1)
-    var_b = math.fsum((v - mean_b) ** 2 for v in b) / (n_b - 1)
-    va = var_a / n_a
-    vb = var_b / n_b
-    se2 = va + vb
-    if se2 == 0.0:
-        df = float(n_a + n_b - 2)
-        if mean_a == mean_b:
-            return TTestResult(0.0, df, 1.0)
-        t = math.inf if mean_a > mean_b else -math.inf
-        return TTestResult(t, df, 0.0)
-    t = (mean_a - mean_b) / math.sqrt(se2)
-    df = se2 * se2 / (va * va / (n_a - 1) + vb * vb / (n_b - 1))
-    return TTestResult(t, df, student_t_two_sided_p(t, df))
+    t, df, p = welch_columns(a[:, None], b[:, None])
+    return TTestResult(float(t[0]), float(df[0]), float(p[0]))
 
 
 def bonferroni_combine(p_values) -> float:

@@ -40,7 +40,6 @@ from invarbin import (
     welch_t_test,
 )
 from invarbin import test_subset as held_out_subset
-from invarbin._workers import map_ordered, worker_count
 from invarbin.cli import CENSUS_INSTRUCTIONS, MUSHROOM_INSTRUCTIONS, main
 
 
@@ -173,14 +172,14 @@ def _benchmark_replicate(r):
     majority = int(training_subset(d).response.mean() >= 0.5)
     out = {"fallback": accuracy(np.full(test.n, majority, dtype=np.int64), test.response)}
     for variant in ("linear", "gam"):
-        model = fit_bimp(d, variant=variant, max_subset_size=cfg.m - 1, n_workers=1)
+        model = fit_bimp(d, variant=variant, max_subset_size=cfg.m - 1)
         out[variant] = (
             None if model.abstained
             else accuracy(predict_bimp(model, test.features).labels, test.response)
         )
     lr = fit_lr_baseline(d)
     out["lr"] = accuracy((predict(lr, test.features) >= 0.5).astype(np.int64), test.response)
-    icp = fit_icp(d, max_subset_size=cfg.m - 1, n_workers=1)
+    icp = fit_icp(d, max_subset_size=cfg.m - 1)
     out["icp"] = (
         None if icp.abstained
         else accuracy(predict_baseline(icp, test.features), test.response)
@@ -191,7 +190,7 @@ def _benchmark_replicate(r):
 @pytest.mark.slow
 def test_benchmark_median_accuracy_ordering(capsys):
     started = time.perf_counter()
-    rows = map_ordered(_benchmark_replicate, range(200), worker_count(None))
+    rows = [_benchmark_replicate(r) for r in range(200)]
     elapsed = time.perf_counter() - started
 
     def median_of(key):

@@ -10,11 +10,13 @@ from invarbin import (
     deviance_residuals,
     draw_benchmark_config,
     fit_icp,
+    fit_logistic,
     fit_lr_baseline,
     gen_benchmark,
     philox_generator,
     predict,
     predict_baseline,
+    training_subset,
 )
 from invarbin import test_subset as held_out_subset
 
@@ -116,10 +118,20 @@ def test_icp_pvals_cover_every_candidate_subset():
     assert all(0.0 <= p <= 1.0 for p in fitted.pvals.values())
 
 
-def test_icp_threaded_matches_serial():
-    cfg = draw_benchmark_config(5, m=4)
-    d = gen_benchmark(cfg)
-    serial = fit_icp(d, n_workers=1)
-    threaded = fit_icp(d, n_workers=4)
-    assert serial.accepted == threaded.accepted
-    assert serial.pvals == threaded.pvals
+def test_icp_pvals_match_scipy_welch():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    d = gen_benchmark(draw_benchmark_config(5, m=4))
+    fitted = fit_icp(d)
+    train = training_subset(d)
+    labels = train.train_labels
+    assert len(fitted.pvals) == 15  # every subset of at most three of four columns
+    for cols, got in fitted.pvals.items():
+        X = train.features[:, list(cols)]
+        residuals = deviance_residuals(predict(fit_logistic(X, train.response), X), train.response)
+        per_env = [
+            scipy_stats.ttest_ind(
+                residuals[train.env_of == label], residuals[train.env_of != label], equal_var=False
+            ).pvalue
+            for label in labels
+        ]
+        assert got == pytest.approx(min(1.0, len(labels) * min(per_env)), rel=0.0, abs=1e-9), cols

@@ -14,20 +14,16 @@ import numpy as np
 import pytest
 
 from invarbin import (
-    Environment,
     InsufficientDataError,
-    MultiEnvDataset,
-    ROLE_TEST,
-    ROLE_TRAIN,
     draw_benchmark_config,
     fit_bimp,
     fit_spline_additive,
     gen_benchmark,
     predict,
     predict_bimp,
-    residual_distribution_test,
 )
 from invarbin import bimp
+from oracles import one_hot_dataset, screen_oracle
 
 SCORE_RTOL = 1e-12
 PROB_ATOL = 1e-12
@@ -111,37 +107,6 @@ def reference_fit(d, accepted, variant, tau=0.1, eps_den=1e-6):
     return scores, tuple(kept), probabilities
 
 
-def one_hot_dataset(n=900, categoricals=3, levels=5, seed=0):
-    """A small table shaped like the census one-hot benchmark.
-
-    Rows cycle through environments e1, e2, test.  Each categorical becomes
-    levels - 1 indicator columns sharing one raw origin; ``a`` is a + y and
-    ``b`` is shifted by one in e2, so pairs with k = b are not invariant.
-    """
-    rng = np.random.default_rng(seed)
-    level = rng.integers(0, levels, size=(n, categoricals))
-    a, b, noise = rng.standard_normal((3, n))
-    y = (a + 0.3 * level[:, 0] + noise > 1.0).astype(np.int64)
-    env = np.array([("e1", "e2", "test")[i % 3] for i in range(n)], dtype=object)
-    blocks = [(level[:, [j]] == np.arange(1, levels)).astype(float) for j in range(categoricals)]
-    features = np.column_stack([*blocks, a + y, b + (env == "e2")])
-    names = [f"c{j}=lv{v}" for j in range(categoricals) for v in range(1, levels)]
-    origin = {name: name.split("=")[0] for name in names}
-    origin.update(a="a", b="b")
-    return MultiEnvDataset(
-        features=features,
-        response=y,
-        env_of=env,
-        environments=(
-            Environment("e1", ROLE_TRAIN),
-            Environment("e2", ROLE_TRAIN),
-            Environment("test", ROLE_TEST),
-        ),
-        column_names=(*names, "a", "b"),
-        column_origin=origin,
-    )
-
-
 def benchmark_dataset():
     cfg = draw_benchmark_config(2, n_per_env=500)
     assert cfg.m == 7
@@ -160,9 +125,9 @@ CASES = {"benchmark-m7": benchmark_dataset, "one-hot": one_hot_case}
 def test_batched_fit_matches_per_pair_reference(case, variant):
     d, cap = CASES[case]()
     model = fit_bimp(d, variant=variant, max_subset_size=cap)
+    reference = screen_oracle(d, [report.pair for report in model.reports])
     for report in model.reports:
-        single = residual_distribution_test(d, report.pair)
-        assert single.verdict == report.verdict, report.pair
+        assert report.verdict == reference[report.pair][0], report.pair
     accepted = [r.pair for r in model.reports if r.accepted]
     assert len(accepted) > len({p.s for p in accepted})  # some S is shared
 

@@ -12,12 +12,9 @@ from invarbin import (
     SchemaError,
     UnknownEnvironmentError,
     ValidationError,
-    class_coverage,
-    class_slice,
     encode_table,
     feature_groups,
     load_csv,
-    partition_by_env,
     sniff_encoding_spec,
     sniff_table,
     training_subset,
@@ -70,22 +67,6 @@ def test_rows_in_unknown_label():
         d.rows_in("nope")
 
 
-def test_partition_and_class_slice_commute():
-    d = small_dataset()
-    a_then_class = class_slice(partition_by_env(d, "a")[0], 1)
-    class_then_a = partition_by_env(class_slice(d, 1), "a")[0]
-    assert np.array_equal(a_then_class.features, class_then_a.features)
-    assert np.array_equal(a_then_class.response, class_then_a.response)
-
-
-def test_partition_complement():
-    d = small_dataset()
-    inside, outside = partition_by_env(d, "b")
-    assert inside.n + outside.n == d.n
-    assert set(inside.env_of) == {"b"}
-    assert "b" not in set(outside.env_of)
-
-
 def test_take_keeps_invariants_and_checks_the_mask():
     d = small_dataset()
     sub = d.take(d.response == 1)
@@ -105,14 +86,6 @@ def test_training_and_test_subsets():
     assert set(train.env_of) == {"a", "b"}
     assert test.n == 2
     assert set(test.env_of) == {"t"}
-
-
-def test_class_coverage_counts():
-    d = small_dataset()
-    cov = class_coverage(d)
-    assert cov[("a", 0)] == 1
-    assert cov[("a", 1)] == 1
-    assert cov[("t", 0)] == 1
 
 
 def test_rejects_two_test_environments():

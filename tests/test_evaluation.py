@@ -9,7 +9,6 @@ from invarbin import (
     aggregate_replicates,
     mse,
 )
-from invarbin._workers import map_ordered, worker_count
 
 
 def test_accuracy_and_mse_basics():
@@ -88,26 +87,6 @@ def test_run_summary_default_seconds_zero():
     s = RunSummary(method="m", replicate=0, accuracy=1.0, mse=0.0, abstained=False)
     assert s.seconds == 0.0
     assert s.n_pairs == 0
-
-
-def test_map_ordered_preserves_order():
-    items = list(range(20))
-    assert map_ordered(lambda v: v * v, items, n_workers=4) == [v * v for v in items]
-    assert map_ordered(lambda v: v + 1, items, n_workers=1) == [v + 1 for v in items]
-
-
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.setenv("INVARBIN_THREADS", "2")
-    assert worker_count(8) == 2
-    monkeypatch.setenv("INVARBIN_THREADS", "junk")
-    with pytest.raises(ValidationError):
-        worker_count(4)
-
-
-def test_worker_count_requested(monkeypatch):
-    monkeypatch.delenv("INVARBIN_THREADS", raising=False)
-    assert worker_count(3) == 3
-    assert worker_count(None) >= 1
 
 
 def test_method_aggregate_is_frozen():

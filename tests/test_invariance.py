@@ -16,11 +16,13 @@ from invarbin import (
     batched_residual_tests,
     draw_benchmark_config,
     enumerate_pairs,
+    feature_groups,
     gen_benchmark,
     philox_generator,
     report_to_dict,
     residual_distribution_test,
 )
+from oracles import one_hot_dataset, screen_oracle
 
 
 def build_dataset(slopes: dict[str, float], n: int = 400, seed: int = 0) -> MultiEnvDataset:
@@ -153,47 +155,31 @@ def test_scope_doubles_the_correction():
             assert both.pvals[label][y] == pytest.approx(min(1.0, 4 * raw))
 
 
-def test_spline_regressor_accepts_nonlinear_invariance():
-    rng = philox_generator(21, stream=1)
-    feats, resp, env_of, envs = [], [], [], []
-    for label, shift in (("p", -1.0), ("q", 1.0), ("t", 0.0)):
-        n = 600
-        x_s = shift + rng.standard_normal(n)
-        y = (rng.uniform(size=n) < 0.5).astype(np.int64)
-        x_k = np.sin(2.0 * x_s) + y + 0.2 * rng.standard_normal(n)
-        feats.append(np.column_stack([x_s, x_k]))
-        resp.append(y)
-        env_of.extend([label] * n)
-        envs.append(Environment(label, ROLE_TEST if label == "t" else ROLE_TRAIN))
-    d = MultiEnvDataset(
-        features=np.vstack(feats),
-        response=np.concatenate(resp),
-        env_of=np.asarray(env_of, dtype=object),
-        environments=tuple(envs),
-        column_names=("s", "k"),
-    )
-    linear = residual_distribution_test(d, Pair(k=1, s=(0,)), regressor="ols")
-    spline = residual_distribution_test(d, Pair(k=1, s=(0,)), regressor="spline")
-    # a straight line cannot absorb the sine, the additive model can
-    assert linear.verdict == "rejected"
-    assert spline.verdict == "accepted"
+@pytest.mark.parametrize("case", ["benchmark-m4", "one-hot"])
+def test_batched_matches_independent_screen_oracle(case):
+    if case == "benchmark-m4":
+        d = gen_benchmark(draw_benchmark_config(3, m=4))
+        pairs = enumerate_pairs(4, max_subset_size=3)
+    else:
+        d = one_hot_dataset()
+        pairs = enumerate_pairs(d.m, max_subset_size=2, groups=feature_groups(d))
+    reports = batched_residual_tests(d, pairs, alpha=0.1)
+    reference = screen_oracle(d, pairs, alpha=0.1)
+    assert [r.pair for r in reports] == list(pairs)
+    assert {r.verdict for r in reports} == {"accepted", "rejected"}
+    for report in reports:
+        verdict, pvals = reference[report.pair]
+        assert report.verdict == verdict, report.pair
+        assert report.pvals.keys() == pvals.keys()
+        for label, by in pvals.items():
+            for y, want in by.items():
+                assert report.pvals[label][y] == pytest.approx(want, rel=0.0, abs=1e-8)
 
 
-def test_batched_agrees_with_single_pair_path():
-    cfg = draw_benchmark_config(3, m=4)
-    d = gen_benchmark(cfg)
-    pairs = enumerate_pairs(4, max_subset_size=3)
-    batched = batched_residual_tests(d, pairs, alpha=0.1)
-    assert len(batched) == len(pairs)
-    for pair, joint in zip(pairs, batched):
-        single = residual_distribution_test(d, pair, alpha=0.1)
-        assert joint.pair == pair
-        assert joint.verdict == single.verdict
-        for label in single.pvals:
-            for y in single.pvals[label]:
-                assert joint.pvals[label][y] == pytest.approx(
-                    single.pvals[label][y], abs=1e-8
-                )
+def test_single_pair_is_the_batched_case():
+    d = build_dataset({"p": 2.0, "q": 2.0, "t": 2.0}, n=300, seed=13)
+    pair = Pair(k=1, s=(0,))
+    assert residual_distribution_test(d, pair) == batched_residual_tests(d, [pair])[0]
 
 
 def test_batched_preserves_input_order():
@@ -202,17 +188,6 @@ def test_batched_preserves_input_order():
     pairs = list(reversed(enumerate_pairs(3, max_subset_size=2)))
     reports = batched_residual_tests(d, pairs)
     assert [r.pair for r in reports] == pairs
-
-
-def test_batched_parallel_matches_serial():
-    cfg = draw_benchmark_config(6, m=5)
-    d = gen_benchmark(cfg)
-    pairs = enumerate_pairs(5, max_subset_size=2)
-    serial = batched_residual_tests(d, pairs, n_workers=1)
-    threaded = batched_residual_tests(d, pairs, n_workers=4)
-    assert [r.verdict for r in serial] == [r.verdict for r in threaded]
-    for a, b in zip(serial, threaded):
-        assert a.pvals == b.pvals
 
 
 def test_report_dict_is_json_ready():
