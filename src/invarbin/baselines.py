@@ -82,16 +82,16 @@ def fit_icp(
 
     subsets = conditioning_sets(search_groups(d, group_one_hot), max_subset_size)
     env_arr = train.env_of
+    masks = [(env_arr == label, env_arr != label) for label in labels]
 
     def test_subset_cols(cols: tuple[int, ...]) -> float:
         X = train.features[:, list(cols)] if cols else train.features[:, :0]
         model = fit_logistic(X, train.response)
         residuals = deviance_residuals(predict(model, X), train.response)
-        per_env = []
-        for label in labels:
-            inside = residuals[env_arr == label]
-            outside = residuals[env_arr != label]
-            per_env.append(welch_t_test(inside, outside).p_value)
+        per_env = [
+            welch_t_test(residuals[inside], residuals[outside]).p_value
+            for inside, outside in masks
+        ]
         return bonferroni_combine(per_env)
 
     pvals = {cols: test_subset_cols(cols) for cols in subsets}

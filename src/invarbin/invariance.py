@@ -25,8 +25,8 @@ from .errors import ValidationError
 # fit_ols is not called here any more; it stays importable as
 # invariance.fit_ols because the benchmark's tracer self-test checks that
 # binding.
-from .regression import fit_ols, ols_columns  # noqa: F401
-from .stats import welch_columns
+from .regression import fit_ols  # noqa: F401
+from .stats import welch_moments
 
 SCOPE_ENV = "env"
 SCOPE_ENV_AND_CLASS = "env-and-class"
@@ -150,8 +150,13 @@ def batched_residual_tests(
     are skipped when an (environment, class) cell has fewer than two rows or
     a class has too few pooled rows for |S| + 1 coefficients.
 
-    Pairs sharing a conditioning set S are fitted with one least-squares
-    solve, all their k columns as right-hand sides, and tested together.
+    One pass over the training rows reduces each (environment, class) cell
+    to its row count, column means and the R factor of its centred block.
+    Pairs sharing a conditioning set S are then fitted per class with one
+    least-squares solve on those factors, all their k columns as
+    right-hand sides, and tested together from the residual moments; no
+    step after the pass touches the rows.  A k that is an exact linear
+    function of x_S within a class gets p = 1 in that class.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -171,15 +176,19 @@ def batched_residual_tests(
 
     env_arr = train.env_of
     y_arr = train.response
+    cells = []
     for label in labels:
+        inside = env_arr == label
         for y in (0, 1):
-            count = int(np.sum((env_arr == label) & (y_arr == y)))
+            rows = inside & (y_arr == y)
+            count = int(np.sum(rows))
             if count < _MIN_CELL:
                 reason = f"environment {label!r} has {count} samples of class {y}"
                 return [skipped(pair, reason) for pair in pairs]
+            cells.append(rows)
+    classes = [_ClassSummary.of(train.features, cells[y::2]) for y in (0, 1)]
 
     factor = len(labels) if bonferroni_scope == SCOPE_ENV else 2 * len(labels)
-    classes = [(train.features[y_arr == y], env_arr[y_arr == y]) for y in (0, 1)]
     by_s: dict[tuple[int, ...], list[Pair]] = {}
     for pair in pairs:
         by_s.setdefault(pair.s, []).append(pair)
@@ -187,23 +196,18 @@ def batched_residual_tests(
     reports: dict[Pair, InvarianceReport] = {}
     for s, members in by_s.items():
         needed = max(2, len(s) + 1)
-        short = [y for y, (rows, _) in enumerate(classes) if rows.shape[0] < needed]
+        short = [y for y, summary in enumerate(classes) if summary.count < needed]
         if short:
             reason = (
-                f"class {short[0]} has {classes[short[0]][0].shape[0]} pooled samples, "
+                f"class {short[0]} has {classes[short[0]].count} pooled samples, "
                 f"fewer than {needed} required for |S| = {len(s)}"
             )
             reports.update((pair, skipped(pair, reason)) for pair in members)
             continue
         ks = [pair.k for pair in members]
         raw = [{label: {} for label in labels} for _ in members]
-        for y, (rows, envs) in enumerate(classes):
-            targets = rows[:, ks]
-            fit, design = ols_columns(rows[:, list(s)], targets)
-            residuals = targets - design @ fit.coef
-            for label in labels:
-                inside = envs == label
-                _, _, p_cols = welch_columns(residuals[inside], residuals[~inside])
+        for y, summary in enumerate(classes):
+            for label, p_cols in zip(labels, summary.welch_p(list(s), ks)):
                 for by_env, p in zip(raw, p_cols):
                     by_env[label][y] = float(p)
         for pair, by_env in zip(members, raw):
@@ -220,3 +224,85 @@ def batched_residual_tests(
                 raw_pvals=by_env,
             )
     return [reports[pair] for pair in pairs]
+
+
+@dataclass(frozen=True)
+class _ClassSummary:
+    """One class's training rows, reduced to what the screen needs.
+
+    Per training environment (a cell): the row count, the offset of the
+    cell's column means from the class means, and the R factor of the
+    cell's centred block.  ``full`` is an R factor of the class block with
+    an intercept column in front, [1, X].
+    """
+
+    counts: np.ndarray
+    shifts: np.ndarray
+    factors: tuple[np.ndarray, ...]
+    full: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return int(self.counts.sum())
+
+    @classmethod
+    def of(cls, features: np.ndarray, cells) -> "_ClassSummary":
+        blocks = [features[rows] for rows in cells]
+        counts = np.array([block.shape[0] for block in blocks], dtype=float)
+        means = np.array([block.mean(axis=0) for block in blocks])
+        mean = counts @ means / counts.sum()
+        shifts = means - mean
+        factors = tuple(
+            np.linalg.qr(block - cell_mean, mode="r") for block, cell_mean in zip(blocks, means)
+        )
+        # Centred on the class means, cell e's rows are its own centred rows
+        # plus shifts[e], and their cross term vanishes: stacking each
+        # cell's R with sqrt(n_e) * shifts[e] has the class's centred
+        # scatter, and the row sqrt(n) * [1, mean] puts the intercept back.
+        centred = np.linalg.qr(np.vstack([*factors, np.sqrt(counts)[:, None] * shifts]), mode="r")
+        full = np.vstack(
+            [
+                np.sqrt(counts.sum()) * np.concatenate([[1.0], mean]),
+                np.column_stack([np.zeros(len(centred)), centred]),
+            ]
+        )
+        return cls(counts, shifts, factors, full)
+
+    def welch_p(self, s: list[int], ks: list[int]) -> list[np.ndarray]:
+        """Per cell, Welch p-values of the residuals of every k on [1, x_S].
+
+        Least squares on the columns of ``full`` has the singular values,
+        hence the ``lstsq`` cut-off and the minimum-norm solution, of the
+        tall fit on [1, X_S].  A residual's cell mean is then
+        shift_k - shift_S @ beta (up to the pooled residual mean, which
+        every Welch difference cancels) and its sum of squares within the
+        cell is |R_e[:, k] - R_e[:, S] @ beta|^2; the cells outside are
+        combined by the within-plus-between decomposition.  A k whose pooled
+        residual sum of squares is within that cut-off (squared) of its sum
+        of squares is an exact linear function of x_S: its residuals count
+        as zero, so every cell gets p = 1.  The sum of squares is taken
+        before centring, because centring a constant column such as 0.1
+        leaves rounding-sized values, not zeros.
+        """
+        cutoff = np.finfo(float).eps * max(self.count, len(s) + 1)
+        design = self.full[:, [0, *(j + 1 for j in s)]]
+        targets = self.full[:, [k + 1 for k in ks]]
+        beta = np.linalg.lstsq(design, targets, rcond=cutoff)[0][1:]
+        centred = self.full[1:, 1:]
+        pooled_ss = np.sum((centred[:, ks] - centred[:, s] @ beta) ** 2, axis=0)
+        exact = pooled_ss <= cutoff**2 * np.sum(targets**2, axis=0)
+        means = self.shifts[:, ks] - self.shifts[:, s] @ beta
+        sums = np.array([np.sum((r[:, ks] - r[:, s] @ beta) ** 2, axis=0) for r in self.factors])
+        means[:, exact] = 0.0
+        sums[:, exact] = 0.0
+        p_by_cell = []
+        for e, n_in in enumerate(self.counts):
+            out = np.arange(len(self.counts)) != e
+            n_out = self.counts[out].sum()
+            mean_out = self.counts[out] @ means[out] / n_out
+            sum_out = sums[out].sum(axis=0) + self.counts[out] @ (means[out] - mean_out) ** 2
+            _, _, p = welch_moments(
+                (n_in, means[e], sums[e] / (n_in - 1)), (n_out, mean_out, sum_out / (n_out - 1))
+            )
+            p_by_cell.append(p)
+        return p_by_cell

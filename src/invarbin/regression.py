@@ -312,9 +312,9 @@ def fit_logistic(
     losses = [-ll]
     converged = False
     it = 0
+    p = _sigmoid(z)
+    grad = design.T @ (y - p)
     for it in range(1, max_iter + 1):
-        p = _sigmoid(z)
-        grad = design.T @ (y - p)
         if np.linalg.norm(grad) < tol:
             converged = True
             it -= 1
@@ -340,7 +340,10 @@ def fit_logistic(
             break
         w, z, ll = w_new, z_new, ll_new
         losses.append(-ll)
-        if np.linalg.norm(design.T @ (y - _sigmoid(z))) < tol:
+        # the next step starts from this sigmoid and gradient
+        p = _sigmoid(z)
+        grad = design.T @ (y - p)
+        if np.linalg.norm(grad) < tol:
             converged = True
             break
     return LogisticModel(

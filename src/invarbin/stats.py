@@ -4,8 +4,12 @@ The Student-t tail probability is computed through the regularized
 incomplete beta function, evaluated with a modified Lentz continued fraction
 driven to a 1e-10 convergence target, which is more than enough headroom
 for the 1e-6 agreement the test suite demands.  Welch's test has one
-implementation, :func:`welch_columns`, which tests many columns at once;
-:func:`welch_t_test` is its checked one-column case.
+kernel, :func:`welch_moments`, which tests many columns at once from each
+side's row count, means and variances.  :func:`welch_columns` feeds it the
+sample moments of two blocks of observations (ICP's path, through its
+checked one-column case :func:`welch_t_test`); the residual screen feeds it
+moments computed from per-cell summaries, without the residuals
+themselves.
 """
 
 from __future__ import annotations
@@ -124,22 +128,21 @@ class TTestResult:
     p_value: float
 
 
-def welch_columns(
-    inside: np.ndarray, outside: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-sided Welch t-tests, column by column: (t, df, p) arrays.
+def welch_moments(inside, outside) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-sided Welch t-tests from moments: (t, df, p) arrays.
 
-    Column j of ``inside`` is compared with column j of ``outside``; both
-    blocks need at least two rows and finite entries, which callers
-    guarantee.  Degrees of freedom follow Welch-Satterthwaite.  A column
-    whose two sample variances are both zero is decided by its means: p = 1
-    (t = 0) when they agree, p = 0 (t infinite, signed by the difference)
-    when they do not, with df = n_inside + n_outside - 2.
+    Each side is ``(n, mean, variance)``: a row count of at least two and
+    arrays of per-column means and unbiased (ddof = 1) variances.  Degrees
+    of freedom follow Welch-Satterthwaite.  A column whose two variances
+    are both zero is decided by its means: p = 1 (t = 0) when they agree,
+    p = 0 (t infinite, signed by the difference) when they do not, with
+    df = n_inside + n_outside - 2.
     """
-    n_in, n_out = inside.shape[0], outside.shape[0]
-    diff = inside.mean(axis=0) - outside.mean(axis=0)
-    va = inside.var(axis=0, ddof=1) / n_in
-    vb = outside.var(axis=0, ddof=1) / n_out
+    n_in, mean_in, var_in = inside
+    n_out, mean_out, var_out = outside
+    diff = mean_in - mean_out
+    va = var_in / n_in
+    vb = var_out / n_out
     se2 = va + vb
     t = np.where(diff == 0.0, 0.0, np.copysign(np.inf, diff))
     df = np.full(diff.shape, float(n_in + n_out - 2))
@@ -149,6 +152,22 @@ def welch_columns(
     df[live] = se2[live] ** 2 / (va[live] ** 2 / (n_in - 1) + vb[live] ** 2 / (n_out - 1))
     p[live] = [student_t_two_sided_p(float(ti), float(di)) for ti, di in zip(t[live], df[live])]
     return t, df, p
+
+
+def welch_columns(
+    inside: np.ndarray, outside: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-sided Welch t-tests, column by column: (t, df, p) arrays.
+
+    Column j of ``inside`` is compared with column j of ``outside``; both
+    blocks need at least two rows and finite entries, which callers
+    guarantee.  The sample means and variances are taken in two passes and
+    handed to :func:`welch_moments`.
+    """
+    return welch_moments(
+        (inside.shape[0], inside.mean(axis=0), inside.var(axis=0, ddof=1)),
+        (outside.shape[0], outside.mean(axis=0), outside.var(axis=0, ddof=1)),
+    )
 
 
 def welch_t_test(a, b) -> TTestResult:

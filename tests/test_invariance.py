@@ -74,14 +74,11 @@ def test_invariant_mechanism_accepted():
     assert set(report.pvals) == {"p", "q"}
 
 
-def test_varying_mechanism_rejected():
-    # an environment-specific intercept in the x_k assignment shifts the
-    # pooled residual means apart; slope flips alone would mostly change the
-    # residual shape, which a location test is not meant to see
-    rng = philox_generator(5, stream=1)
+def intercept_shift_dataset(seed: int = 5, shift: float = 1.0, n: int = 500) -> MultiEnvDataset:
+    """x_k = 2 x_s + y + noise, with an intercept ``shift`` in training env q."""
+    rng = philox_generator(seed, stream=1)
     feats, resp, env_of, envs = [], [], [], []
-    for label, offset in (("p", 0.0), ("q", 1.0), ("t", 0.0)):
-        n = 500
+    for label, offset in (("p", 0.0), ("q", shift), ("t", 0.0)):
         x_s = rng.standard_normal(n)
         y = (rng.uniform(size=n) < 0.5).astype(np.int64)
         x_k = 2.0 * x_s + offset + y + 0.3 * rng.standard_normal(n)
@@ -89,16 +86,34 @@ def test_varying_mechanism_rejected():
         resp.append(y)
         env_of.extend([label] * n)
         envs.append(Environment(label, ROLE_TEST if label == "t" else ROLE_TRAIN))
-    d = MultiEnvDataset(
+    return MultiEnvDataset(
         features=np.vstack(feats),
         response=np.concatenate(resp),
         env_of=np.asarray(env_of, dtype=object),
         environments=tuple(envs),
         column_names=("s", "k"),
     )
-    report = residual_distribution_test(d, Pair(k=1, s=(0,)), alpha=0.1)
+
+
+def test_varying_mechanism_rejected():
+    # an environment-specific intercept in the x_k assignment shifts the
+    # pooled residual means apart; slope flips alone would mostly change the
+    # residual shape, which a location test is not meant to see
+    report = residual_distribution_test(intercept_shift_dataset(), Pair(k=1, s=(0,)), alpha=0.1)
     assert report.verdict == "rejected"
     assert not report.accepted
+
+
+def test_small_intercept_shift_rejected_with_high_power():
+    # a shift of a third of the noise scale in one environment: a screen
+    # that accepts everything (or has lost its power) cannot pass
+    pair = Pair(k=1, s=(0,))
+    rejected = sum(
+        residual_distribution_test(intercept_shift_dataset(seed, shift=0.1), pair).verdict
+        == "rejected"
+        for seed in range(200)
+    )
+    assert rejected >= 190
 
 
 def test_empty_conditioning_set_compares_marginals():
@@ -164,16 +179,127 @@ def test_batched_matches_independent_screen_oracle(case):
         d = one_hot_dataset()
         pairs = enumerate_pairs(d.m, max_subset_size=2, groups=feature_groups(d))
     reports = batched_residual_tests(d, pairs, alpha=0.1)
-    reference = screen_oracle(d, pairs, alpha=0.1)
     assert [r.pair for r in reports] == list(pairs)
     assert {r.verdict for r in reports} == {"accepted", "rejected"}
+    assert_matches_oracle(reports, screen_oracle(d, pairs, alpha=0.1), 1e-8)
+
+
+def assert_matches_oracle(reports, reference, tol):
     for report in reports:
         verdict, pvals = reference[report.pair]
         assert report.verdict == verdict, report.pair
         assert report.pvals.keys() == pvals.keys()
         for label, by in pvals.items():
             for y, want in by.items():
-                assert report.pvals[label][y] == pytest.approx(want, rel=0.0, abs=1e-8)
+                assert report.pvals[label][y] == pytest.approx(want, rel=0.0, abs=tol)
+
+
+def test_screen_matches_oracle_at_large_n():
+    # the large-n benchmark shape: m = 7, 8,000 rows per environment
+    d = gen_benchmark(draw_benchmark_config(2, m=7, n_per_env=8000))
+    pairs = enumerate_pairs(7, max_subset_size=6)
+    reports = batched_residual_tests(d, pairs)
+    sample = reports[::7]
+    assert {r.verdict for r in sample} == {"accepted", "rejected"}
+    assert_matches_oracle(sample, screen_oracle(d, [r.pair for r in sample]), 1e-8)
+
+
+def degenerate_dataset(n: int = 900, seed: int = 0) -> MultiEnvDataset:
+    """Columns with exact linear relations, none of them grouped.
+
+    A complete one-hot block (its levels sum to one), a duplicated column,
+    ``a + y`` (an exact function of ``a`` within each class), a constant,
+    ``b`` shifted in e2, ``b + 100`` and an unrelated ``c``.
+    """
+    rng = np.random.default_rng(seed)
+    level = rng.integers(0, 4, size=n)
+    a, b, c, noise = rng.standard_normal((4, n))
+    y = (a + 0.3 * level + noise > 1.0).astype(np.int64)
+    env = np.array([("e1", "e2", "test")[i % 3] for i in range(n)], dtype=object)
+    b = b + (env == "e2")
+    one_hot = (level[:, None] == np.arange(4)).astype(float)
+    features = np.column_stack([one_hot, a, a, a + y, np.full(n, 0.1), b, b + 100.0, c])
+    return MultiEnvDataset(
+        features=features,
+        response=y,
+        env_of=env,
+        environments=(
+            Environment("e1", ROLE_TRAIN),
+            Environment("e2", ROLE_TRAIN),
+            Environment("test", ROLE_TEST),
+        ),
+        column_names=("lv0", "lv1", "lv2", "lv3", "a", "a_dup", "a_plus_y", "const", "b", "b100", "c"),
+    )
+
+
+def exactly_determined(d: MultiEnvDataset, pair: Pair, y: int) -> bool:
+    """Whether x_k is a linear function of [1, x_S] on the training rows of class y."""
+    rows = np.isin(d.env_of, d.train_labels) & (d.response == y)
+    design = np.column_stack([np.ones(rows.sum()), d.features[rows][:, list(pair.s)]])
+    target = d.features[rows, pair.k]
+    residuals = target - design @ np.linalg.lstsq(design, target, rcond=None)[0]
+    return bool(np.linalg.norm(residuals) <= 1e-9 * np.linalg.norm(target))
+
+
+def test_exactly_determined_columns_get_p_one():
+    d = degenerate_dataset()
+    pairs = enumerate_pairs(d.m, max_subset_size=2)
+    reports = batched_residual_tests(d, pairs)
+    undetermined = []
+    for report in reports:
+        exact = [exactly_determined(d, report.pair, y) for y in (0, 1)]
+        for y in (0, 1):
+            if exact[y]:
+                assert all(by[y] == 1.0 for by in report.raw_pvals.values()), report.pair
+        if not any(exact):
+            undetermined.append(report)
+    # the oracle only sees pairs whose residuals are not rounding noise
+    assert 400 < len(undetermined) < len(reports) - 100
+    assert_matches_oracle(undetermined, screen_oracle(d, [r.pair for r in undetermined]), 1e-8)
+
+
+def test_near_collinear_columns_match_oracle():
+    # b is a up to 1e-7 noise; every conditioning set holding both is
+    # nearly singular, and the residuals of b given a are 1e-7-sized
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n = 900
+        a, c, d_noise, noise, tiny = rng.standard_normal((5, n))
+        y = (a + noise > 0.5).astype(np.int64)
+        env = np.array([("e1", "e2", "test")[i % 3] for i in range(n)], dtype=object)
+        features = np.column_stack(
+            [a, a + 1e-7 * tiny, c + 0.3 * (env == "e2"), a + y + 0.5 * d_noise]
+        )
+        d = MultiEnvDataset(
+            features=features,
+            response=y,
+            env_of=env,
+            environments=(
+                Environment("e1", ROLE_TRAIN),
+                Environment("e2", ROLE_TRAIN),
+                Environment("test", ROLE_TEST),
+            ),
+            column_names=("a", "b", "c", "d"),
+        )
+        pairs = enumerate_pairs(4, max_subset_size=3)
+        assert_matches_oracle(batched_residual_tests(d, pairs), screen_oracle(d, pairs), 1e-6)
+
+
+def test_screen_solves_no_tall_least_squares(monkeypatch):
+    # after one pass over the rows, every solve is on (m + 1)-row factors
+    d = gen_benchmark(draw_benchmark_config(3, m=4))
+    pairs = enumerate_pairs(4, max_subset_size=3)
+    lstsq = np.linalg.lstsq
+    rows = []
+
+    def counting(a, b, *args, **kwargs):
+        rows.append(np.shape(a)[0])
+        return lstsq(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    batched_residual_tests(d, pairs)
+    assert rows
+    assert max(rows) <= d.m + 1
 
 
 def test_single_pair_is_the_batched_case():

@@ -12,6 +12,7 @@ from invarbin import (
     student_t_two_sided_p,
     welch_t_test,
 )
+from invarbin.stats import welch_moments
 
 scipy_integrate = pytest.importorskip("scipy.integrate")
 scipy_special = pytest.importorskip("scipy.special")
@@ -99,6 +100,20 @@ def test_welch_matches_scipy_on_random_samples():
         ref = scipy_stats.ttest_ind(a, b, equal_var=False)
         assert ours.t_statistic == pytest.approx(float(ref.statistic), abs=1e-10)
         assert ours.p_value == pytest.approx(float(ref.pvalue), abs=1e-10)
+
+
+def test_welch_moments_match_scipy_from_stats():
+    rng = np.random.default_rng(3)
+    n_in, n_out = 40, 95
+    mean_in, mean_out = rng.normal(size=5), rng.normal(size=5)
+    var_in, var_out = rng.uniform(0.1, 4.0, size=(2, 5))
+    t, df, p = welch_moments((n_in, mean_in, var_in), (n_out, mean_out, var_out))
+    want = scipy_stats.ttest_ind_from_stats(
+        mean_in, np.sqrt(var_in), n_in, mean_out, np.sqrt(var_out), n_out, equal_var=False
+    )
+    assert t == pytest.approx(want.statistic, rel=1e-12)
+    assert p == pytest.approx(want.pvalue, rel=1e-6, abs=1e-12)
+    assert np.all((n_in - 1 <= df + 1e-9) & (df <= n_in + n_out - 2))
 
 
 def test_welch_identical_constant_samples():
