@@ -43,17 +43,20 @@ from .invariance import (
 # because the benchmark's tracer self-test checks that binding.
 from .regression import (
     ColumnsFit,
+    SplineTerm,
+    _spline_plan,
+    _spline_solve,
     fit_ols,  # noqa: F401
     model_to_dict,
     ols_columns,
     predict,
-    spline_columns,
 )
 
 VARIANT_LINEAR = "linear"
 VARIANT_GAM = "gam"
 
 _DEGENERATE_DROP_FRACTION = 0.5
+TARGET = -1  # the target rows' block index in TrainingView.fit_marginal
 
 
 def _matching_ratio(marginal, h0, h1, eps) -> tuple[np.ndarray, np.ndarray]:
@@ -149,12 +152,9 @@ class PairModel:
     variant: str
 
 
-def _marginal_fitter(variant: str):
-    if variant == VARIANT_LINEAR:
-        return ols_columns
-    if variant == VARIANT_GAM:
-        return spline_columns
-    raise ValidationError(f"unknown variant {variant!r}")
+def _check_variant(variant: str) -> None:
+    if variant not in (VARIANT_LINEAR, VARIANT_GAM):
+        raise ValidationError(f"unknown variant {variant!r}")
 
 
 def _slice(features: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
@@ -179,24 +179,25 @@ class _GroupFit:
 class TrainingView:
     """The arrays a matching-pairs fit reads for every pair, gathered once.
 
-    ``features`` and ``response`` are the training rows, ``class_rows[y]``
-    the training features of class y, ``env_rows[i]`` the row indices of
-    training environment ``d.train_labels[i]`` within them, and ``spread``
-    the per-column standard deviation of the training features.  ``target``
-    is the target-environment feature block: ``target_features`` when
-    given, otherwise the test environment's rows, gathered on first use.
-    :meth:`solve` keeps the per-conditioning-set fits, so that all pairs
-    sharing S cost one solve.
+    ``response`` holds the training classes, ``class_rows[y]`` the
+    training features of class y, ``env_features[i]`` and
+    ``env_response[i]`` the rows of training environment
+    ``d.train_labels[i]``, and ``spread`` the per-column standard deviation
+    of the training features.  ``target`` is the target-environment feature
+    block: ``target_features`` when given, otherwise the test environment's
+    rows, gathered on first use.  :meth:`solve` keeps the
+    per-conditioning-set fits, so that all pairs sharing S cost one solve,
+    and :meth:`fit_marginal` keeps each column's spline plan per block of
+    rows, so that all conditioning sets share it.
     """
 
     def __init__(self, d: MultiEnvDataset, target_features: np.ndarray | None = None):
         train = training_subset(d)
-        self.features = train.features
         self.response = train.response
         self.class_rows = tuple(train.features[train.response == y] for y in (0, 1))
-        self.env_rows = tuple(
-            np.flatnonzero(train.rows_in(label)) for label in train.train_labels
-        )
+        env_masks = [train.rows_in(label) for label in train.train_labels]
+        self.env_features = tuple(train.features[mask] for mask in env_masks)
+        self.env_response = tuple(train.response[mask] for mask in env_masks)
         self.spread = np.array([np.std(column) for column in train.features.T])
         self._dataset = d
         if target_features is not None:
@@ -207,6 +208,7 @@ class TrainingView:
                 raise ValidationError("target features contain non-finite entries")
             self.target = target
         self._groups: dict[tuple[tuple[int, ...], str], _GroupFit] = {}
+        self._planned: dict[tuple[int, int], tuple[SplineTerm, np.ndarray]] = {}
 
     @cached_property
     def target(self) -> np.ndarray:
@@ -222,20 +224,43 @@ class TrainingView:
         group = self._groups.get((s, variant))
         if group is not None and set(ks) <= group.column.keys():
             return group
-        fitter = _marginal_fitter(variant)
         if any(rows.shape[0] == 0 for rows in self.class_rows):
             raise DegenerateResponseError("training rows contain a single class")
         cols, ks = list(s), list(ks)
         h0, h1 = (ols_columns(rows[:, cols], rows[:, ks])[0] for rows in self.class_rows)
         marginal = thin = None
         try:
-            marginal, _ = fitter(self.target[:, cols], self.target[:, ks])
+            marginal, _ = self.fit_marginal(TARGET, s, ks, variant)
         except InsufficientDataError as exc:
             thin = str(exc)
         column = {k: j for j, k in enumerate(ks)}
         group = _GroupFit(column=column, h=(h0, h1), marginal=marginal, thin=thin)
         self._groups[(s, variant)] = group
         return group
+
+    def fit_marginal(
+        self, block: int, s: tuple[int, ...], ks: Sequence[int], variant: str
+    ) -> tuple[ColumnsFit, np.ndarray]:
+        """Fit of every column in ``ks`` on the columns in S over one block of rows.
+
+        ``block`` indexes ``env_features``, or is ``TARGET`` for the target
+        rows.  Returns the fits and their design or spline basis, as
+        :func:`ols_columns` and :func:`~invarbin.regression.spline_columns`
+        do.  A column's spline term and basis depend only on its rows in the
+        block, so each (block, column) is planned once and reused by every S.
+        """
+        _check_variant(variant)
+        rows = self.target if block == TARGET else self.env_features[block]
+        cols, ks = list(s), list(ks)
+        if variant == VARIANT_LINEAR:
+            return ols_columns(rows[:, cols], rows[:, ks])
+        planned = []
+        for j in cols:
+            key = (block, j)
+            if key not in self._planned:
+                self._planned[key] = _spline_plan(rows[:, j])
+            planned.append(self._planned[key])
+        return _spline_solve(planned, rows[:, ks])
 
 
 def fit_pair_model(
@@ -259,7 +284,7 @@ def fit_pair_model(
     then also fixes the target rows (``target_features`` is not read), and
     the three fits are this pair's columns of the view's solve for S.
     """
-    _marginal_fitter(variant)
+    _check_variant(variant)
     if not eps_den > 0.0:
         raise ValidationError(f"eps_den must be positive, got {eps_den!r}")
     if pair.k >= d.m or (pair.s and max(pair.s) >= d.m):
@@ -324,7 +349,6 @@ def _training_scores(
     Inside each training environment one marginal solve covers every
     member's k; an environment too thin for that solve is left out.
     """
-    fitter = _marginal_fitter(variant)
     cols = list(s)
     ks = [pm.pair.k for pm in members]
     h0 = np.array([pm.h0.coef for pm in members]).T
@@ -332,18 +356,15 @@ def _training_scores(
     eps = np.array([pm.eps_abs for pm in members])
     total = np.zeros(len(members))
     count = np.zeros(len(members))
-    for rows in view.env_rows:
-        env = view.features[rows]
-        s_block = env[:, cols]
+    for block, (env, observed) in enumerate(zip(view.env_features, view.env_response)):
         try:
-            fit, basis = fitter(s_block, env[:, ks])
+            fit, basis = view.fit_marginal(block, s, ks, variant)
         except InsufficientDataError:
             continue
         marginal = basis @ fit.coef
-        design = np.column_stack([np.ones(rows.size), s_block])
+        design = np.column_stack([np.ones(env.shape[0]), env[:, cols]])
         probs, degenerate = _matching_ratio(marginal, design @ h0, design @ h1, eps)
-        observed = view.response[rows][:, None]
-        total += np.where(degenerate, 0.0, (probs - observed) ** 2).sum(axis=0)
+        total += np.where(degenerate, 0.0, (probs - observed[:, None]) ** 2).sum(axis=0)
         count += (~degenerate).sum(axis=0)
     mean = np.divide(total, count, out=np.full(len(members), math.inf), where=count > 0)
     return [float(v) for v in mean]
@@ -454,7 +475,7 @@ def fit_bimp(
     after the screen is one solve per conditioning set, shared by all the
     pairs with that set.  The model abstains when nothing remains.
     """
-    _marginal_fitter(variant)
+    _check_variant(variant)
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
     if len(d.train_labels) < 2:

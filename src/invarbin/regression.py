@@ -15,6 +15,7 @@ with one solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -223,6 +224,36 @@ def _term_width(term: SplineTerm) -> int:
     return len(term.knots) - 1
 
 
+def _spline_plan(x: np.ndarray, n_knots: int = _SPLINE_KNOTS) -> tuple[SplineTerm, np.ndarray]:
+    """Plan step of :func:`spline_columns` for one column: its term and basis block.
+
+    Both depend on that column's rows alone, so a caller fitting many
+    conditioning sets on the same rows can plan each column once.
+    """
+    term = _plan_term(x, n_knots)
+    return term, _term_columns(term, x)
+
+
+def _spline_solve(
+    planned: Sequence[tuple[SplineTerm, np.ndarray]], Y: np.ndarray, lam: float = _SPLINE_LAMBDA
+) -> tuple[ColumnsFit, np.ndarray]:
+    """Solve step of :func:`spline_columns`: one ridge solve on planned columns."""
+    n = Y.shape[0]
+    if n < 2:
+        raise InsufficientDataError(f"fit_spline_additive needs n >= 2 rows, got {n}")
+    basis = np.hstack([np.ones((n, 1))] + [block for _, block in planned])
+    q = basis.shape[1]
+
+    # Augmented system: ridge on every basis coefficient except the intercept.
+    penalty = np.sqrt(lam) * np.eye(q)
+    penalty[0, 0] = 0.0
+    augmented = np.vstack([basis, penalty])
+    target = np.vstack([Y, np.zeros((q, Y.shape[1]))])
+    coef, _, _, _ = np.linalg.lstsq(augmented, target, rcond=None)
+    terms = tuple(term for term, _ in planned)
+    return ColumnsFit(coef=coef, terms=terms, lam=lam), basis
+
+
 def spline_columns(
     X: np.ndarray, Y: np.ndarray, n_knots: int = _SPLINE_KNOTS, lam: float = _SPLINE_LAMBDA
 ) -> tuple[ColumnsFit, np.ndarray]:
@@ -234,26 +265,12 @@ def spline_columns(
     :func:`fit_spline_additive`, whose docstring gives the model; X and Y
     must be finite float arrays of shapes (n, p) and (n, t).
     """
-    n, p = X.shape
-    if n < 2:
-        raise InsufficientDataError(f"fit_spline_additive needs n >= 2 rows, got {n}")
     if not lam >= 0.0:
         raise ValidationError(f"lam must be non-negative, got {lam!r}")
     if n_knots < 1:
         raise ValidationError(f"n_knots must be positive, got {n_knots!r}")
-
-    planned = tuple(_plan_term(X[:, j], n_knots) for j in range(p))
-    blocks = [_term_columns(term, X[:, j]) for j, term in enumerate(planned)]
-    basis = np.hstack([np.ones((n, 1))] + blocks)
-    q = basis.shape[1]
-
-    # Augmented system: ridge on every basis coefficient except the intercept.
-    penalty = np.sqrt(lam) * np.eye(q)
-    penalty[0, 0] = 0.0
-    augmented = np.vstack([basis, penalty])
-    target = np.vstack([Y, np.zeros((q, Y.shape[1]))])
-    coef, _, _, _ = np.linalg.lstsq(augmented, target, rcond=None)
-    return ColumnsFit(coef=coef, terms=planned, lam=lam), basis
+    planned = [_spline_plan(X[:, j], n_knots) for j in range(X.shape[1])]
+    return _spline_solve(planned, Y, lam)
 
 
 def fit_spline_additive(
@@ -272,12 +289,9 @@ def fit_spline_additive(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; both branches are finite for every z
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _log_likelihood(z: np.ndarray, y: np.ndarray) -> float:

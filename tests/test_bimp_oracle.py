@@ -14,7 +14,11 @@ import numpy as np
 import pytest
 
 from invarbin import (
+    ROLE_TEST,
+    ROLE_TRAIN,
+    Environment,
     InsufficientDataError,
+    MultiEnvDataset,
     draw_benchmark_config,
     fit_bimp,
     fit_spline_additive,
@@ -22,7 +26,7 @@ from invarbin import (
     predict,
     predict_bimp,
 )
-from invarbin import bimp
+from invarbin import bimp, regression
 from oracles import one_hot_dataset, screen_oracle
 
 SCORE_RTOL = 1e-12
@@ -164,3 +168,66 @@ def test_post_screen_solves_scale_with_conditioning_sets(monkeypatch, variant):
     bound = (3 + len(d.train_labels)) * groups
     assert calls["all"] - calls["screen"] <= bound
     assert accepted > bound  # a per-pair path would exceed the bound
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_spline_plans_made_once_per_block_and_column(monkeypatch, case):
+    d, cap = CASES[case]()
+    real_plan = regression._plan_term
+    calls = []
+
+    def counting_plan(*args, **kwargs):
+        calls.append(1)
+        return real_plan(*args, **kwargs)
+
+    monkeypatch.setattr(regression, "_plan_term", counting_plan)
+    model = fit_bimp(d, variant="gam", max_subset_size=cap)
+    assert model.counts["accepted"] > 0
+    # one block per training environment plus the target rows
+    assert len(calls) <= (len(d.train_labels) + 1) * d.m
+
+
+def block_kind_dataset(n_per_env=240, seed=3):
+    """Column ``c`` is constant in e1, two-valued in e2 and continuous in the target."""
+    rng = np.random.default_rng(seed)
+    labels = ("e1", "e2", "test")
+    env = np.repeat(np.array(labels, dtype=object), n_per_env)
+    y = rng.integers(0, 2, size=env.size)
+    c = np.concatenate([
+        np.full(n_per_env, 0.5),
+        rng.integers(0, 2, size=n_per_env).astype(float),
+        rng.normal(size=n_per_env),
+    ])
+    a = y + 0.5 * rng.standard_normal(env.size)
+    b = np.sin(2.0 * c) + 0.8 * y + 0.5 * rng.standard_normal(env.size)
+    return MultiEnvDataset(
+        features=np.column_stack([c, a, b]),
+        response=y,
+        env_of=env,
+        environments=(
+            Environment("e1", ROLE_TRAIN),
+            Environment("e2", ROLE_TRAIN),
+            Environment("test", ROLE_TEST),
+        ),
+        column_names=("c", "a", "b"),
+    )
+
+
+def test_spline_plans_are_per_block():
+    d = block_kind_dataset()
+    kinds = [
+        regression._plan_term(d.features[d.rows_in(label), 0], 5).kind
+        for label in ("e1", "e2", "test")
+    ]
+    assert kinds == ["constant", "linear", "spline"]
+    model = fit_bimp(d, variant="gam")
+    accepted = [r.pair for r in model.reports if r.accepted]
+    assert any(0 in pair.s for pair in accepted)
+
+    scores, kept, probabilities = reference_fit(d, accepted, "gam")
+    assert model.pairs == kept
+    assert model.scores.keys() == scores.keys()
+    for pair, want in scores.items():
+        assert model.scores[pair] == pytest.approx(want, rel=SCORE_RTOL, abs=0.0), pair
+    got = predict_bimp(model, d.features[d.rows_in(d.test_label)]).probabilities
+    assert np.max(np.abs(got - probabilities)) <= PROB_ATOL

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,13 @@ from invarbin import (
     model_to_dict,
     predict,
 )
-from invarbin.regression import ols_columns, spline_columns
+from invarbin.regression import (
+    _sigmoid,
+    _spline_plan,
+    _spline_solve,
+    ols_columns,
+    spline_columns,
+)
 
 
 def normal_equations(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -230,3 +238,41 @@ def test_column_fits_match_one_column_fits():
             want = predict(single(X, Y[:, j]), X)
             assert np.max(np.abs(predict(fit.model(j), X) - want)) < 1e-12
             assert np.max(np.abs(fitted[:, j] - want)) < 1e-12
+
+
+def two_branch_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_two_branch_formula_bitwise():
+    edges = np.array([0.0, -0.0, 1e-320, -1e-320, 700.0, -700.0, 800.0, -800.0, 1.0, -1.0])
+    z = np.concatenate([edges, np.random.default_rng(21).normal(scale=40.0, size=1000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _sigmoid(z)
+    assert got.tobytes() == two_branch_sigmoid(z).tobytes()
+
+
+def test_planned_spline_solve_matches_spline_columns_bitwise():
+    rng = np.random.default_rng(17)
+    n = 120
+    X = np.column_stack([
+        np.full(n, 0.25),  # constant
+        rng.integers(0, 2, size=n).astype(float),  # binary
+        np.where(np.arange(n) < n - 6, 0.0, np.arange(n) - n + 7.0),  # knots collapse
+        rng.normal(size=n),  # continuous
+    ])
+    Y = np.sin(X[:, 3:]) + X[:, 1:2] + rng.normal(size=(n, 3))
+    fit, basis = spline_columns(X, Y)
+    planned = [_spline_plan(X[:, j]) for j in range(X.shape[1])]
+    assert [term.kind for term, _ in planned] == ["constant", "linear", "linear", "spline"]
+    again, again_basis = _spline_solve(planned, Y)
+    assert again.terms == fit.terms
+    assert again.lam == fit.lam
+    assert again.coef.tobytes() == fit.coef.tobytes()
+    assert again_basis.tobytes() == basis.tobytes()
