@@ -18,7 +18,7 @@ from .data import MultiEnvDataset, training_subset
 from .errors import ValidationError
 from .invariance import conditioning_sets, search_groups
 from .regression import LogisticModel, fit_logistic, predict
-from .stats import bonferroni_combine, welch_t_test
+from .stats import bonferroni_combine, student_t_tail, welch_columns
 
 
 def fit_lr_baseline(d: MultiEnvDataset) -> LogisticModel:
@@ -68,7 +68,8 @@ def fit_icp(
     For each subset (including the empty one, up to ``max_subset_size``
     groups), a pooled logistic model is fit and its deviance residuals are
     compared per environment (inside vs outside) with Welch t-tests,
-    Bonferroni-combined over environments.  Subsets with combined p-value
+    Bonferroni-combined over environments; the p-values of every subset
+    come from one Student-t tail call.  Subsets with combined p-value
     above ``alpha`` are accepted.  The final predictor uses the intersection
     of accepted subsets; an empty intersection or empty acceptance list
     means abstention.
@@ -84,17 +85,18 @@ def fit_icp(
     env_arr = train.env_of
     masks = [(env_arr == label, env_arr != label) for label in labels]
 
-    def test_subset_cols(cols: tuple[int, ...]) -> float:
+    models: dict[tuple[int, ...], LogisticModel] = {}
+    t, df = [], []
+    for cols in subsets:
         X = train.features[:, list(cols)] if cols else train.features[:, :0]
-        model = fit_logistic(X, train.response)
-        residuals = deviance_residuals(predict(model, X), train.response)
-        per_env = [
-            welch_t_test(residuals[inside], residuals[outside]).p_value
-            for inside, outside in masks
-        ]
-        return bonferroni_combine(per_env)
-
-    pvals = {cols: test_subset_cols(cols) for cols in subsets}
+        models[cols] = fit_logistic(X, train.response)
+        residuals = deviance_residuals(predict(models[cols], X), train.response)
+        for inside, outside in masks:
+            t_env, df_env = welch_columns(residuals[inside][:, None], residuals[outside][:, None])
+            t.append(t_env)
+            df.append(df_env)
+    p = student_t_tail(np.concatenate(t), np.concatenate(df)).reshape(len(subsets), len(masks))
+    pvals = {cols: bonferroni_combine(by_env) for cols, by_env in zip(subsets, p)}
     accepted = tuple(cols for cols in subsets if pvals[cols] > alpha)
 
     if not accepted:
@@ -114,11 +116,12 @@ def fit_icp(
             alpha=alpha,
             pvals=pvals,
         )
-    model = fit_logistic(train.features[:, list(intersection)], train.response)
+    # The intersection is a union of at most ``max_subset_size`` whole
+    # groups, so it is one of the subsets already fitted.
     return IcpResult(
         accepted=accepted,
         intersection=intersection,
-        model=model,
+        model=models[intersection],
         abstained=False,
         alpha=alpha,
         pvals=pvals,

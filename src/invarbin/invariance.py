@@ -26,7 +26,7 @@ from .errors import ValidationError
 # invariance.fit_ols because the benchmark's tracer self-test checks that
 # binding.
 from .regression import fit_ols  # noqa: F401
-from .stats import welch_moments
+from .stats import student_t_tail, welch_moments
 
 SCOPE_ENV = "env"
 SCOPE_ENV_AND_CLASS = "env-and-class"
@@ -152,11 +152,13 @@ def batched_residual_tests(
 
     One pass over the training rows reduces each (environment, class) cell
     to its row count, column means and the R factor of its centred block.
-    Pairs sharing a conditioning set S are then fitted per class with one
-    least-squares solve on those factors, all their k columns as
-    right-hand sides, and tested together from the residual moments; no
-    step after the pass touches the rows.  A k that is an exact linear
-    function of x_S within a class gets p = 1 in that class.
+    Per class and conditioning-set size, every S of that size is then
+    fitted by one stacked solve on those factors, every column as a
+    right-hand side, and the residual moments give each pair's Welch
+    (t, df); no step after the pass touches the rows.  The p-values of the
+    whole screen come from one :func:`~invarbin.stats.student_t_tail` call.
+    A k that is an exact linear function of x_S within a class gets p = 1
+    in that class.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -192,37 +194,50 @@ def batched_residual_tests(
     by_s: dict[tuple[int, ...], list[Pair]] = {}
     for pair in pairs:
         by_s.setdefault(pair.s, []).append(pair)
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for s in by_s:
+        by_size.setdefault(len(s), []).append(s)
 
     reports: dict[Pair, InvarianceReport] = {}
-    for s, members in by_s.items():
-        needed = max(2, len(s) + 1)
+    tested: list[Pair] = []
+    t_parts, df_parts = [], []
+    for size, sets in by_size.items():
+        needed = max(2, size + 1)
         short = [y for y, summary in enumerate(classes) if summary.count < needed]
         if short:
             reason = (
                 f"class {short[0]} has {classes[short[0]].count} pooled samples, "
-                f"fewer than {needed} required for |S| = {len(s)}"
+                f"fewer than {needed} required for |S| = {size}"
             )
-            reports.update((pair, skipped(pair, reason)) for pair in members)
+            reports.update((pair, skipped(pair, reason)) for s in sets for pair in by_s[s])
             continue
-        ks = [pair.k for pair in members]
-        raw = [{label: {} for label in labels} for _ in members]
-        for y, summary in enumerate(classes):
-            for label, p_cols in zip(labels, summary.welch_p(list(s), ks)):
-                for by_env, p in zip(raw, p_cols):
-                    by_env[label][y] = float(p)
-        for pair, by_env in zip(members, raw):
-            adjusted = {
-                label: {y: min(1.0, factor * p) for y, p in by.items()}
-                for label, by in by_env.items()
-            }
-            worst = min(p for by in adjusted.values() for p in by.values())
-            reports[pair] = InvarianceReport(
-                pair=pair,
-                verdict="accepted" if worst > alpha else "rejected",
-                alpha=alpha,
-                pvals=adjusted,
-                raw_pvals=by_env,
-            )
+        members = [(g, pair) for g, s in enumerate(sets) for pair in by_s[s]]
+        g_idx = [g for g, _ in members]
+        k_idx = [pair.k for _, pair in members]
+        tested.extend(pair for _, pair in members)
+        stacks = np.array(sets, dtype=np.intp).reshape(len(sets), size)
+        t, df = zip(*(summary.welch(stacks) for summary in classes))
+        t_parts.append(np.stack(t)[:, :, g_idx, k_idx])
+        df_parts.append(np.stack(df)[:, :, g_idx, k_idx])
+
+    # One tail call for the whole screen: tails[y, e, j] for the j-th tested pair.
+    empty = np.empty((2, len(labels), 0))
+    tails = student_t_tail(
+        np.concatenate([empty, *t_parts], axis=2), np.concatenate([empty, *df_parts], axis=2)
+    )
+    for pair, by_cell in zip(tested, tails.transpose(2, 1, 0).tolist()):
+        raw = {label: dict(enumerate(by_y)) for label, by_y in zip(labels, by_cell)}
+        adjusted = {
+            label: {y: min(1.0, factor * p) for y, p in by.items()} for label, by in raw.items()
+        }
+        worst = min(p for by in adjusted.values() for p in by.values())
+        reports[pair] = InvarianceReport(
+            pair=pair,
+            verdict="accepted" if worst > alpha else "rejected",
+            alpha=alpha,
+            pvals=adjusted,
+            raw_pvals=raw,
+        )
     return [reports[pair] for pair in pairs]
 
 
@@ -268,41 +283,54 @@ class _ClassSummary:
         )
         return cls(counts, shifts, factors, full)
 
-    def welch_p(self, s: list[int], ks: list[int]) -> list[np.ndarray]:
-        """Per cell, Welch p-values of the residuals of every k on [1, x_S].
+    def welch(self, stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Welch (t, df) of every column's residuals on [1, x_S], per cell and S.
 
-        Least squares on the columns of ``full`` has the singular values,
-        hence the ``lstsq`` cut-off and the minimum-norm solution, of the
-        tall fit on [1, X_S].  A residual's cell mean is then
-        shift_k - shift_S @ beta (up to the pooled residual mean, which
-        every Welch difference cancels) and its sum of squares within the
-        cell is |R_e[:, k] - R_e[:, S] @ beta|^2; the cells outside are
-        combined by the within-plus-between decomposition.  A k whose pooled
-        residual sum of squares is within that cut-off (squared) of its sum
-        of squares is an exact linear function of x_S: its residuals count
-        as zero, so every cell gets p = 1.  The sum of squares is taken
-        before centring, because centring a constant column such as 0.1
-        leaves rounding-sized values, not zeros.
+        ``stacks`` holds G conditioning sets of one size as rows; both
+        results have shape (cells, G, m), column k holding the test of
+        k given S (a k inside S is a zero residual and meaningless).  One
+        stacked pseudo-inverse of the columns of ``full`` solves all G fits:
+        those columns have the singular values, hence the cut-off and the
+        minimum-norm solution, of the tall fit on [1, X_S], with the same
+        relative cut-off as ``lstsq``'s ``rcond``.  A residual's cell mean
+        is then shift_k - shift_S @ beta (up to the pooled residual mean,
+        which every Welch difference cancels) and its sum of squares within
+        the cell is |R_e[:, k] - R_e[:, S] @ beta|^2; the cells outside are
+        combined by the within-plus-between decomposition.  A k whose
+        pooled residual sum of squares is within that cut-off (squared) of
+        its sum of squares is an exact linear function of x_S: its
+        residuals count as zero, so every cell gets t = 0 and p = 1.  The
+        sum of squares is taken before centring, because centring a
+        constant column such as 0.1 leaves rounding-sized values, not
+        zeros.
         """
-        cutoff = np.finfo(float).eps * max(self.count, len(s) + 1)
-        design = self.full[:, [0, *(j + 1 for j in s)]]
-        targets = self.full[:, [k + 1 for k in ks]]
-        beta = np.linalg.lstsq(design, targets, rcond=cutoff)[0][1:]
-        centred = self.full[1:, 1:]
-        pooled_ss = np.sum((centred[:, ks] - centred[:, s] @ beta) ** 2, axis=0)
-        exact = pooled_ss <= cutoff**2 * np.sum(targets**2, axis=0)
-        means = self.shifts[:, ks] - self.shifts[:, s] @ beta
-        sums = np.array([np.sum((r[:, ks] - r[:, s] @ beta) ** 2, axis=0) for r in self.factors])
-        means[:, exact] = 0.0
-        sums[:, exact] = 0.0
-        p_by_cell = []
+        g, size = stacks.shape
+        cutoff = np.finfo(float).eps * max(self.count, size + 1)
+        columns = np.column_stack([np.zeros(g, np.intp), stacks + 1])
+        design = np.moveaxis(self.full[:, columns], 1, 0)
+        beta = (np.linalg.pinv(design, rcond=cutoff) @ self.full)[:, 1:, 1:]
+
+        def residuals(block: np.ndarray) -> np.ndarray:
+            # block - block[:, S] @ beta for every S: shape (G, rows, m)
+            return block - np.moveaxis(block[:, stacks], 1, 0) @ beta
+
+        def residual_ss(block: np.ndarray) -> np.ndarray:
+            return np.sum(residuals(block) ** 2, axis=1)
+
+        exact = residual_ss(self.full[1:, 1:]) <= cutoff**2 * np.sum(self.full[:, 1:] ** 2, axis=0)
+        means = np.where(exact[:, None], 0.0, residuals(self.shifts))
+        sums = np.where(exact[:, None], 0.0, np.stack([residual_ss(r) for r in self.factors], 1))
+        t, df = [], []
         for e, n_in in enumerate(self.counts):
             out = np.arange(len(self.counts)) != e
             n_out = self.counts[out].sum()
-            mean_out = self.counts[out] @ means[out] / n_out
-            sum_out = sums[out].sum(axis=0) + self.counts[out] @ (means[out] - mean_out) ** 2
-            _, _, p = welch_moments(
-                (n_in, means[e], sums[e] / (n_in - 1)), (n_out, mean_out, sum_out / (n_out - 1))
+            mean_out = self.counts[out] @ means[:, out] / n_out
+            between = self.counts[out] @ (means[:, out] - mean_out[:, None]) ** 2
+            sum_out = sums[:, out].sum(axis=1) + between
+            t_e, df_e = welch_moments(
+                (n_in, means[:, e], sums[:, e] / (n_in - 1)),
+                (n_out, mean_out, sum_out / (n_out - 1)),
             )
-            p_by_cell.append(p)
-        return p_by_cell
+            t.append(t_e)
+            df.append(df_e)
+        return np.stack(t), np.stack(df)

@@ -3,13 +3,15 @@
 The Student-t tail probability is computed through the regularized
 incomplete beta function, evaluated with a modified Lentz continued fraction
 driven to a 1e-10 convergence target, which is more than enough headroom
-for the 1e-6 agreement the test suite demands.  Welch's test has one
-kernel, :func:`welch_moments`, which tests many columns at once from each
-side's row count, means and variances.  :func:`welch_columns` feeds it the
-sample moments of two blocks of observations (ICP's path, through its
-checked one-column case :func:`welch_t_test`); the residual screen feeds it
-moments computed from per-cell summaries, without the residuals
-themselves.
+for the 1e-6 agreement the test suite demands.  The continued fraction runs
+on arrays (:func:`student_t_tail`); the scalar functions are its one-value
+case.  Welch's test is split in two: :func:`welch_moments` turns each
+side's row count, means and variances into (t, df) for many columns at
+once, and the tail is taken afterwards, so a caller running many tests
+(the residual screen, ICP's subset loop) makes one tail call for all of
+them.  :func:`welch_columns` feeds the kernel the sample moments of two
+blocks of observations; the residual screen feeds it moments computed from
+per-cell summaries, without the residuals themselves.
 """
 
 from __future__ import annotations
@@ -37,86 +39,125 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz)."""
+def _clamp(v: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(v) < _TINY, _TINY, v)
+
+
+def _continued_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Continued fraction for the incomplete beta function (modified Lentz).
+
+    Runs the recurrence on every element at once.  Each element leaves the
+    live set at the step where its own |delta - 1| falls below the
+    tolerance, so its value is the one a loop over that element alone would
+    return; an element still live after the iteration cap keeps its partial
+    sum.
+    """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
+    c = np.ones_like(x)
     d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
+    d = 1.0 / _clamp(d)
     h = d
+    out = np.empty_like(x)
+    live = np.arange(x.size)
     for m in range(1, _BETAINC_MAX_ITER + 1):
         m2 = 2 * m
         # even step
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
+        d = 1.0 / _clamp(1.0 + aa * d)
+        c = _clamp(1.0 + aa / c)
+        h = h * (d * c)
         # odd step
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
+        d = 1.0 / _clamp(1.0 + aa * d)
+        c = _clamp(1.0 + aa / c)
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETAINC_TOL:
-            return h
+        h = h * delta
+        done = np.abs(delta - 1.0) < _BETAINC_TOL
+        if done.any():
+            out[live[done]] = h[done]
+            keep = ~done
+            live = live[keep]
+            if not live.size:
+                return out
+            a, b, x, qab, qap, qam, c, d, h = (
+                v[keep] for v in (a, b, x, qab, qap, qam, c, d, h)
+            )
     # Worst realistic case (tiny df, x near the switch point) still converges
-    # well before this; return the partial sum rather than looping forever.
-    return h
+    # well before this; keep the partial sum rather than looping forever.
+    out[live] = h
+    return out
+
+
+def _incomplete_beta(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """I_x(a, b) element by element on 1-d arrays, for a, b > 0 and x in [0, 1]."""
+    if not (np.all(a > 0.0) and np.all(b > 0.0)):
+        raise ValidationError("incomplete beta requires a > 0 and b > 0")
+    outside = ~((0.0 <= x) & (x <= 1.0))
+    if outside.any():
+        raise ValidationError(
+            f"incomplete beta requires 0 <= x <= 1, got {float(x[outside][0])!r}"
+        )
+    result = x.copy()  # I_0 = 0 and I_1 = 1
+    inner = np.flatnonzero((x > 0.0) & (x < 1.0))
+    a, b, x = a[inner], b[inner], x[inner]
+    front = np.array(
+        [
+            math.exp(
+                math.lgamma(ai + bi)
+                - math.lgamma(ai)
+                - math.lgamma(bi)
+                + ai * math.log(xi)
+                + bi * math.log1p(-xi)
+            )
+            for ai, bi, xi in zip(a.tolist(), b.tolist(), x.tolist())
+        ]
+    )
+    # The continued fraction converges fast only on one side of the mean;
+    # use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) on the other side.
+    low = x < (a + 1.0) / (a + b + 2.0)
+    cf = _continued_fraction(
+        np.where(low, a, b), np.where(low, b, a), np.where(low, x, 1.0 - x)
+    )
+    result[inner] = np.where(low, front * cf / a, 1.0 - front * cf / b)
+    return result
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValidationError("incomplete beta requires a > 0 and b > 0")
-    if not (0.0 <= x <= 1.0):
-        raise ValidationError(f"incomplete beta requires 0 <= x <= 1, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    # The continued fraction converges fast only on one side of the mean;
-    # use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) on the other side.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    return float(_incomplete_beta(*(np.array([v], dtype=float) for v in (a, b, x)))[0])
+
+
+def student_t_tail(t, df) -> np.ndarray:
+    """P(|T| >= |t|) for T Student-t with ``df`` degrees of freedom, elementwise.
+
+    Equals I_{df/(df+t^2)}(df/2, 1/2).  Every ``df`` must be positive and
+    no ``t`` NaN; an infinite ``t`` has probability 0.  The whole array is
+    one continued-fraction run, so a caller with many tests makes one call.
+    """
+    t = np.asarray(t, dtype=float)
+    shape = t.shape
+    t = t.reshape(-1)
+    df = np.asarray(df, dtype=float).reshape(-1)
+    bad = ~(df > 0.0)
+    if bad.any():
+        raise ValidationError(f"degrees of freedom must be positive, got {float(df[bad][0])!r}")
+    if np.isnan(t).any():
+        raise ValidationError("t statistic is NaN")
+    # t * t may overflow to inf, which gives x = 0 and p = 0; an infinite df
+    # gives x = NaN, which the incomplete beta rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.where(np.isinf(t), 0.0, df / (df + t * t))
+    return _incomplete_beta(0.5 * df, np.full(df.shape, 0.5), x).reshape(shape)
 
 
 def student_t_two_sided_p(t: float, df: float) -> float:
     """P(|T| >= |t|) for T Student-t with ``df`` degrees of freedom.
 
-    Equals I_{df/(df+t^2)}(df/2, 1/2).  ``df`` must be positive; ``t`` may be
-    infinite (probability 0).
+    The one-value case of :func:`student_t_tail`.
     """
-    if not df > 0.0:
-        raise ValidationError(f"degrees of freedom must be positive, got {df!r}")
-    if math.isnan(t):
-        raise ValidationError("t statistic is NaN")
-    if math.isinf(t):
-        return 0.0
-    x = df / (df + t * t)
-    return regularized_incomplete_beta(0.5 * df, 0.5, x)
+    return float(student_t_tail(np.array([t], dtype=float), np.array([df], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -128,15 +169,17 @@ class TTestResult:
     p_value: float
 
 
-def welch_moments(inside, outside) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-sided Welch t-tests from moments: (t, df, p) arrays.
+def welch_moments(inside, outside) -> tuple[np.ndarray, np.ndarray]:
+    """Two-sided Welch t statistics from moments: (t, df) arrays.
 
     Each side is ``(n, mean, variance)``: a row count of at least two and
     arrays of per-column means and unbiased (ddof = 1) variances.  Degrees
     of freedom follow Welch-Satterthwaite.  A column whose two variances
-    are both zero is decided by its means: p = 1 (t = 0) when they agree,
-    p = 0 (t infinite, signed by the difference) when they do not, with
-    df = n_inside + n_outside - 2.
+    are both zero is decided by its means: t = 0 when they agree, t
+    infinite (signed by the difference) when they do not, with
+    df = n_inside + n_outside - 2.  The p-values are
+    :func:`student_t_tail` of the result, which a caller with many tests
+    takes once for all of them.
     """
     n_in, mean_in, var_in = inside
     n_out, mean_out, var_out = outside
@@ -146,24 +189,32 @@ def welch_moments(inside, outside) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     se2 = va + vb
     t = np.where(diff == 0.0, 0.0, np.copysign(np.inf, diff))
     df = np.full(diff.shape, float(n_in + n_out - 2))
-    p = np.where(diff == 0.0, 1.0, 0.0)
     live = se2 > 0.0
     t[live] = diff[live] / np.sqrt(se2[live])
-    df[live] = se2[live] ** 2 / (va[live] ** 2 / (n_in - 1) + vb[live] ** 2 / (n_out - 1))
-    p[live] = [student_t_two_sided_p(float(ti), float(di)) for ti, di in zip(t[live], df[live])]
-    return t, df, p
+    # Squaring a variance below about 1e-154 (or above 1e154) leaves the
+    # normal float range.  Scaling both by one power of two is exact, so df
+    # is unchanged wherever it did not.
+    exponent = np.frexp(np.maximum(va[live], vb[live]))[1]
+    va, vb = np.ldexp(va[live], -exponent), np.ldexp(vb[live], -exponent)
+    df[live] = (va + vb) ** 2 / (va**2 / (n_in - 1) + vb**2 / (n_out - 1))
+    return t, df
 
 
-def welch_columns(
-    inside: np.ndarray, outside: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-sided Welch t-tests, column by column: (t, df, p) arrays.
+def welch_columns(inside: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two-sided Welch t statistics, column by column: (t, df) arrays.
 
-    Column j of ``inside`` is compared with column j of ``outside``; both
-    blocks need at least two rows and finite entries, which callers
-    guarantee.  The sample means and variances are taken in two passes and
-    handed to :func:`welch_moments`.
+    Column j of ``inside`` is compared with column j of ``outside``.  Both
+    blocks need at least two rows and finite entries.  The sample means
+    and variances are taken in two passes and handed to
+    :func:`welch_moments`.
     """
+    if inside.shape[0] < 2 or outside.shape[0] < 2:
+        raise InsufficientDataError(
+            "Welch test needs >= 2 observations per sample, "
+            f"got {inside.shape[0]} and {outside.shape[0]}"
+        )
+    if not (np.all(np.isfinite(inside)) and np.all(np.isfinite(outside))):
+        raise ValidationError("Welch test requires finite samples")
     return welch_moments(
         (inside.shape[0], inside.mean(axis=0), inside.var(axis=0, ddof=1)),
         (outside.shape[0], outside.mean(axis=0), outside.var(axis=0, ddof=1)),
@@ -179,16 +230,10 @@ def welch_t_test(a, b) -> TTestResult:
     test is decided by the means alone: p = 1 when they agree, p = 0 when
     they do not (reported with an infinite t statistic).
     """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if a.size < 2 or b.size < 2:
-        raise InsufficientDataError(
-            f"welch_t_test needs >= 2 observations per sample, got {a.size} and {b.size}"
-        )
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValidationError("welch_t_test requires finite samples")
-    t, df, p = welch_columns(a[:, None], b[:, None])
-    return TTestResult(float(t[0]), float(df[0]), float(p[0]))
+    a = np.asarray(a, dtype=float).reshape(-1, 1)
+    b = np.asarray(b, dtype=float).reshape(-1, 1)
+    t, df = welch_columns(a, b)
+    return TTestResult(float(t[0]), float(df[0]), student_t_two_sided_p(t[0], df[0]))
 
 
 def bonferroni_combine(p_values) -> float:

@@ -3,13 +3,87 @@
 ``screen_oracle`` recomputes the residual screen from its definition with
 numpy's ``lstsq`` and scipy's Welch test, sharing no code with
 ``invarbin.invariance``.  ``one_hot_dataset`` is a small table shaped like
-the census one-hot benchmark.
+the census one-hot benchmark.  ``incomplete_beta`` and ``t_two_sided_p``
+are the scalar modified-Lentz recurrence, one value at a time in Python
+floats, that the array kernel in ``invarbin.stats`` must match bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from invarbin import Environment, MultiEnvDataset, ROLE_TEST, ROLE_TRAIN
+
+
+_BETAINC_TOL = 1e-10
+_BETAINC_MAX_ITER = 500
+_TINY = 1e-300
+
+
+def betacf(a: float, b: float, x: float) -> tuple[float, int]:
+    """Continued fraction for the incomplete beta function and its step count."""
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _TINY:
+        d = _TINY
+    d = 1.0 / d
+    h = d
+    for m in range(1, _BETAINC_MAX_ITER + 1):
+        m2 = 2 * m
+        # even step
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _TINY:
+            d = _TINY
+        c = 1.0 + aa / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        h *= d * c
+        # odd step
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _TINY:
+            d = _TINY
+        c = 1.0 + aa / c
+        if abs(c) < _TINY:
+            c = _TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _BETAINC_TOL:
+            return h, m
+    return h, _BETAINC_MAX_ITER
+
+
+def incomplete_beta(a: float, b: float, x: float) -> float:
+    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    ln_front = (
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
+        + a * math.log(x)
+        + b * math.log1p(-x)
+    )
+    front = math.exp(ln_front)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * betacf(a, b, x)[0] / a
+    return 1.0 - front * betacf(b, a, 1.0 - x)[0] / b
+
+
+def t_two_sided_p(t: float, df: float) -> float:
+    """P(|T| >= |t|) for T Student-t with ``df`` degrees of freedom."""
+    if math.isinf(t):
+        return 0.0
+    return incomplete_beta(0.5 * df, 0.5, df / (df + t * t))
 
 
 def screen_oracle(d, pairs, alpha=0.1):

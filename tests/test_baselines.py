@@ -18,6 +18,7 @@ from invarbin import (
     predict_baseline,
     training_subset,
 )
+from invarbin import baselines
 from invarbin import test_subset as held_out_subset
 
 
@@ -67,7 +68,7 @@ def test_deviance_residuals_reject_degenerate_probs():
         deviance_residuals(np.array([0.0, 0.5]), np.array([0, 1]))
 
 
-def test_icp_accepts_stable_predictor_and_uses_it():
+def stable_predictor_dataset() -> MultiEnvDataset:
     # y depends on x0 through an environment-constant logit; x0 shifts MILDLY
     # across environments (enough to change the class rate and reject the
     # empty set, not enough to disturb the residual law given x0), and x1 is
@@ -86,19 +87,40 @@ def test_icp_accepts_stable_predictor_and_uses_it():
         resp.append(y)
         env_of.extend([label] * n)
         envs.append(Environment(label, ROLE_TEST if label == "t" else ROLE_TRAIN))
-    d = MultiEnvDataset(
+    return MultiEnvDataset(
         features=np.vstack(feats),
         response=np.concatenate(resp),
         env_of=np.asarray(env_of, dtype=object),
         environments=tuple(envs),
         column_names=("x0", "x1"),
     )
+
+
+def test_icp_accepts_stable_predictor_and_uses_it():
+    d = stable_predictor_dataset()
     fitted = fit_icp(d, alpha=0.05)
     assert not fitted.abstained
     assert (0,) in fitted.accepted
     assert fitted.intersection == (0,)
     labels = predict_baseline(fitted, held_out_subset(d).features)
     assert float((labels == held_out_subset(d).response).mean()) > 0.75
+
+
+def test_icp_reuses_the_intersection_fit(monkeypatch):
+    d = stable_predictor_dataset()
+    calls = []
+
+    def counting(X, y, *args, **kwargs):
+        calls.append(X.shape[1])
+        return fit_logistic(X, y, *args, **kwargs)
+
+    monkeypatch.setattr(baselines, "fit_logistic", counting)
+    fitted = fit_icp(d, alpha=0.05)
+    assert not fitted.abstained
+    assert len(calls) == len(fitted.pvals)
+    train = training_subset(d)
+    refit = fit_logistic(train.features[:, list(fitted.intersection)], train.response)
+    assert fitted.model == refit
 
 
 def test_icp_abstains_on_benchmark_shift():

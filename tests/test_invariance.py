@@ -22,6 +22,8 @@ from invarbin import (
     report_to_dict,
     residual_distribution_test,
 )
+from invarbin import invariance
+from invarbin.stats import student_t_tail
 from oracles import one_hot_dataset, screen_oracle
 
 
@@ -122,6 +124,28 @@ def test_empty_conditioning_set_compares_marginals():
     d = build_dataset({"p": 2.0, "q": 2.0, "t": 2.0}, n=500, seed=6)
     report = residual_distribution_test(d, Pair(k=1, s=()), alpha=0.1)
     assert report.verdict == "rejected"
+
+
+@pytest.mark.parametrize("verdict", ["accepted", "rejected"])
+def test_tiny_scale_column_keeps_its_verdict(verdict):
+    # x_k * 2**-270: its residual variances square below the smallest float
+    if verdict == "accepted":
+        d = build_dataset({"p": 2.0, "q": 2.0, "t": 2.0}, n=500, seed=4)
+    else:
+        d = intercept_shift_dataset()
+    tiny = MultiEnvDataset(
+        features=d.features * np.array([1.0, 2.0**-270]),
+        response=d.response,
+        env_of=d.env_of,
+        environments=d.environments,
+        column_names=d.column_names,
+    )
+    pair = Pair(k=1, s=(0,))
+    want, got = residual_distribution_test(d, pair), residual_distribution_test(tiny, pair)
+    assert want.verdict == got.verdict == verdict
+    for label, by in want.raw_pvals.items():
+        for y, p in by.items():
+            assert got.raw_pvals[label][y] == pytest.approx(p, rel=1e-8)
 
 
 def test_thin_class_cell_skips():
@@ -285,21 +309,47 @@ def test_near_collinear_columns_match_oracle():
         assert_matches_oracle(batched_residual_tests(d, pairs), screen_oracle(d, pairs), 1e-6)
 
 
+def counting_solves(monkeypatch):
+    """Record the row count of every lstsq and (stacked) pinv system."""
+    rows = {"lstsq": [], "pinv": []}
+    for name in rows:
+        solve = getattr(np.linalg, name)
+
+        def counting(a, *args, _solve=solve, _rows=rows[name], **kwargs):
+            _rows.append(np.shape(a)[-2])
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return rows
+
+
 def test_screen_solves_no_tall_least_squares(monkeypatch):
     # after one pass over the rows, every solve is on (m + 1)-row factors
     d = gen_benchmark(draw_benchmark_config(3, m=4))
     pairs = enumerate_pairs(4, max_subset_size=3)
-    lstsq = np.linalg.lstsq
-    rows = []
-
-    def counting(a, b, *args, **kwargs):
-        rows.append(np.shape(a)[0])
-        return lstsq(a, b, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    rows = counting_solves(monkeypatch)
     batched_residual_tests(d, pairs)
-    assert rows
-    assert max(rows) <= d.m + 1
+    seen = rows["lstsq"] + rows["pinv"]
+    assert seen
+    assert max(seen) <= d.m + 1
+
+
+def test_screen_solves_once_per_class_and_size(monkeypatch):
+    d = gen_benchmark(draw_benchmark_config(3, m=4))
+    pairs = enumerate_pairs(4, max_subset_size=3)
+    rows = counting_solves(monkeypatch)
+    tails = []
+
+    def counting_tail(t, df):
+        tails.append(np.size(t))
+        return student_t_tail(t, df)
+
+    monkeypatch.setattr(invariance, "student_t_tail", counting_tail)
+    reports = batched_residual_tests(d, pairs)
+    sizes = {len(r.pair.s) for r in reports if r.verdict != "skipped"}
+    assert rows["lstsq"] == []
+    assert len(rows["pinv"]) == 2 * len(sizes)
+    assert tails == [2 * len(d.train_labels) * len(pairs)]
 
 
 def test_single_pair_is_the_batched_case():

@@ -12,7 +12,8 @@ from invarbin import (
     student_t_two_sided_p,
     welch_t_test,
 )
-from invarbin.stats import welch_moments
+from invarbin.stats import _incomplete_beta, student_t_tail, welch_moments
+from oracles import betacf, incomplete_beta, t_two_sided_p
 
 scipy_integrate = pytest.importorskip("scipy.integrate")
 scipy_special = pytest.importorskip("scipy.special")
@@ -91,6 +92,82 @@ def test_t_two_sided_p_edge_values():
     assert student_t_two_sided_p(-float("inf"), 5.0) == 0.0
 
 
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def tail_draws(count: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(t, df) pairs spanning the screen's and ICP's range, with edge cases."""
+    rng = np.random.default_rng(seed)
+    df = np.exp(rng.uniform(math.log(1.5), math.log(1e5), size=count))
+    t = rng.standard_normal(count) * np.exp(rng.uniform(math.log(1e-3), math.log(30.0), size=count))
+    special_df = np.array([1.5, 2.0, 7.3, 100.0, 1e4, 1e5])
+    # t = 0, infinite, overflowing t * t, and t putting x at the branch
+    # switch (a + 1) / (a + b + 2) of the continued fraction and one ulp off
+    a = 0.5 * special_df
+    switch = np.sqrt(special_df / ((a + 1.0) / (a + 2.5)) - special_df)
+    edges = [np.zeros(6), np.full(6, np.inf), np.full(6, -np.inf), np.full(6, 1e200),
+             switch, np.nextafter(switch, 0.0), np.nextafter(switch, np.inf), -switch]
+    t = np.concatenate([t, *edges])
+    df = np.concatenate([df, *[special_df] * len(edges)])
+    return t, df
+
+
+def test_tail_matches_scalar_recurrence_bitwise():
+    t, df = tail_draws(25_000)
+    want = [t_two_sided_p(ti, di) for ti, di in zip(t.tolist(), df.tolist())]
+    assert bits(student_t_tail(t, df)) == bits(want)
+    picks = range(0, len(t), 97)
+    scalar = [student_t_two_sided_p(t[i], df[i]) for i in picks]
+    assert bits(scalar) == bits([want[i] for i in picks])
+
+
+def test_incomplete_beta_kernel_matches_scalar_recurrence_bitwise():
+    rng = np.random.default_rng(5)
+    a = np.exp(rng.uniform(math.log(0.2), math.log(1e4), size=3000))
+    b = np.exp(rng.uniform(math.log(0.2), math.log(1e4), size=3000))
+    x = rng.uniform(size=3000)
+    switch = (a + 1.0) / (a + b + 2.0)
+    # a = b = 1e6 at x = 1/2 takes 420 steps; 1e7 stops at the 500-step cap
+    assert [betacf(v, v, 0.5)[1] for v in (1e6, 1e7)] == [420, 500]
+    a = np.concatenate([a, a, [1e6, 1e7, 2.0, 2.0]])
+    b = np.concatenate([b, b, [1e6, 1e7, 3.0, 3.0]])
+    x = np.concatenate([x, switch, [0.5, 0.5, 0.0, 1.0]])
+    want = [incomplete_beta(*v) for v in zip(a.tolist(), b.tolist(), x.tolist())]
+    assert bits(_incomplete_beta(a, b, x)) == bits(want)
+    assert [regularized_incomplete_beta(*v) for v in zip(a[-4:], b[-4:], x[-4:])] == want[-4:]
+
+
+def test_tail_is_batch_invariant():
+    t, df = tail_draws(3000, seed=1)
+    whole = student_t_tail(t, df)
+    order = np.random.default_rng(2).permutation(len(t))
+    assert bits(student_t_tail(t[order], df[order])) == bits(whole[order])
+    half = order[: len(t) // 2]
+    assert bits(student_t_tail(t[half], df[half])) == bits(whole[half])
+    alone = [student_t_tail(t[i : i + 1], df[i : i + 1])[0] for i in range(0, len(t), 29)]
+    assert bits(alone) == bits(whole[::29])
+    assert student_t_tail(np.empty(0), np.empty(0)).shape == (0,)
+
+
+def test_tail_rejects_bad_input():
+    with pytest.raises(ValidationError):
+        student_t_tail([1.0, 2.0], [3.0, 0.0])
+    with pytest.raises(ValidationError):
+        student_t_tail([1.0, float("nan")], [3.0, 3.0])
+    with pytest.raises(ValidationError):
+        student_t_two_sided_p(1.0, -2.0)
+
+
+def test_welch_is_exact_under_power_of_two_scaling():
+    # var / n near 1e-165 squares below the smallest float
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal((2, 50))
+    small = welch_t_test(a * 2.0**-270, b * 2.0**-270)
+    assert small == welch_t_test(a, b)
+    assert math.isfinite(small.degrees_of_freedom)
+
+
 def test_welch_matches_scipy_on_random_samples():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -107,7 +184,8 @@ def test_welch_moments_match_scipy_from_stats():
     n_in, n_out = 40, 95
     mean_in, mean_out = rng.normal(size=5), rng.normal(size=5)
     var_in, var_out = rng.uniform(0.1, 4.0, size=(2, 5))
-    t, df, p = welch_moments((n_in, mean_in, var_in), (n_out, mean_out, var_out))
+    t, df = welch_moments((n_in, mean_in, var_in), (n_out, mean_out, var_out))
+    p = student_t_tail(t, df)
     want = scipy_stats.ttest_ind_from_stats(
         mean_in, np.sqrt(var_in), n_in, mean_out, np.sqrt(var_out), n_out, equal_var=False
     )
