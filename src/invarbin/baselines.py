@@ -14,9 +14,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import MultiEnvDataset, training_subset
+from .data import MultiEnvDataset, feature_groups, training_subset
 from .errors import ValidationError
-from .invariance import conditioning_sets, search_groups
+from .invariance import conditioning_sets
 from .regression import LogisticModel, fit_logistic, predict
 from .stats import bonferroni_combine, student_t_tail, welch_columns
 
@@ -61,7 +61,6 @@ def fit_icp(
     d: MultiEnvDataset,
     alpha: float = 0.1,
     max_subset_size: int | None = None,
-    group_one_hot: bool = True,
 ) -> IcpResult:
     """Search feature subsets whose pooled fit is environment-invariant.
 
@@ -81,14 +80,14 @@ def fit_icp(
     if len(labels) < 2:
         raise ValidationError("invariant-set search needs at least two training environments")
 
-    subsets = conditioning_sets(search_groups(d, group_one_hot), max_subset_size)
+    subsets = conditioning_sets(feature_groups(d), max_subset_size)
     env_arr = train.env_of
     masks = [(env_arr == label, env_arr != label) for label in labels]
 
     models: dict[tuple[int, ...], LogisticModel] = {}
     t, df = [], []
     for cols in subsets:
-        X = train.features[:, list(cols)] if cols else train.features[:, :0]
+        X = train.features[:, list(cols)]
         models[cols] = fit_logistic(X, train.response)
         residuals = deviance_residuals(predict(models[cols], X), train.response)
         for inside, outside in masks:

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import MultiEnvDataset, test_subset, training_subset
+from .data import MultiEnvDataset, feature_groups, test_subset, training_subset
 from .errors import (
     DegeneratePairError,
     DegenerateResponseError,
@@ -37,13 +37,13 @@ from .invariance import (
     Pair,
     batched_residual_tests,
     conditioning_sets,
-    search_groups,
 )
 # fit_ols is not called here any more; it stays importable as bimp.fit_ols
 # because the benchmark's tracer self-test checks that binding.
 from .regression import (
     ColumnsFit,
     SplineTerm,
+    _check_design,
     _spline_plan,
     _spline_solve,
     fit_ols,  # noqa: F401
@@ -157,10 +157,6 @@ def _check_variant(variant: str) -> None:
         raise ValidationError(f"unknown variant {variant!r}")
 
 
-def _slice(features: np.ndarray, cols: tuple[int, ...]) -> np.ndarray:
-    return features[:, list(cols)] if cols else features[:, :0]
-
-
 @dataclass(frozen=True)
 class _GroupFit:
     """h0, h1 and the target marginal for one conditioning set S.
@@ -183,15 +179,14 @@ class TrainingView:
     training features of class y, ``env_features[i]`` and
     ``env_response[i]`` the rows of training environment
     ``d.train_labels[i]``, and ``spread`` the per-column standard deviation
-    of the training features.  ``target`` is the target-environment feature
-    block: ``target_features`` when given, otherwise the test environment's
-    rows, gathered on first use.  :meth:`solve` keeps the
+    of the training features.  ``target`` is the test environment's feature
+    block, gathered on first use.  :meth:`solve` keeps the
     per-conditioning-set fits, so that all pairs sharing S cost one solve,
     and :meth:`fit_marginal` keeps each column's spline plan per block of
     rows, so that all conditioning sets share it.
     """
 
-    def __init__(self, d: MultiEnvDataset, target_features: np.ndarray | None = None):
+    def __init__(self, d: MultiEnvDataset):
         train = training_subset(d)
         self.response = train.response
         self.class_rows = tuple(train.features[train.response == y] for y in (0, 1))
@@ -200,13 +195,6 @@ class TrainingView:
         self.env_response = tuple(train.response[mask] for mask in env_masks)
         self.spread = np.array([np.std(column) for column in train.features.T])
         self._dataset = d
-        if target_features is not None:
-            target = np.asarray(target_features, dtype=float)
-            if target.ndim != 2 or target.shape[1] != d.m:
-                raise ValidationError("target features must be 2-D with matching column count")
-            if not np.all(np.isfinite(target)):
-                raise ValidationError("target features contain non-finite entries")
-            self.target = target
         self._groups: dict[tuple[tuple[int, ...], str], _GroupFit] = {}
         self._planned: dict[tuple[int, int], tuple[SplineTerm, np.ndarray]] = {}
 
@@ -268,21 +256,19 @@ def fit_pair_model(
     pair: Pair,
     variant: str = VARIANT_LINEAR,
     eps_den: float = 1e-6,
-    target_features: np.ndarray | None = None,
     view: TrainingView | None = None,
 ) -> PairModel:
     """Fit h0, h1 on pooled training rows and the marginal on target rows.
 
-    ``target_features`` defaults to the feature matrix of the dataset's
-    test environment.  ``eps_den`` is relative: the absolute degeneracy
+    The target rows are the features of the dataset's test environment.
+    ``eps_den`` is relative: the absolute degeneracy
     tolerance becomes eps_den times the pooled-training standard deviation
     of column k (or eps_den itself when that deviation is zero).  Raises
     :class:`InsufficientDataError` when the target rows are too few for the
     marginal on S.
 
-    ``view`` is a :class:`TrainingView` of ``d`` shared by many pairs; it
-    then also fixes the target rows (``target_features`` is not read), and
-    the three fits are this pair's columns of the view's solve for S.
+    ``view`` is a :class:`TrainingView` of ``d`` shared by many pairs; the
+    three fits are this pair's columns of the view's solve for S.
     """
     _check_variant(variant)
     if not eps_den > 0.0:
@@ -290,7 +276,7 @@ def fit_pair_model(
     if pair.k >= d.m or (pair.s and max(pair.s) >= d.m):
         raise ValidationError(f"pair {pair} references columns beyond m = {d.m}")
     if view is None:
-        view = TrainingView(d, target_features)
+        view = TrainingView(d)
     group = view.solve(pair.s, (pair.k,), variant)
     if group.thin is not None:
         raise InsufficientDataError(group.thin)
@@ -308,7 +294,7 @@ def fit_pair_model(
 
 
 def _pair_values(model: PairModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s_block = _slice(X, model.pair.s)
+    s_block = X[:, list(model.pair.s)]
     return _matching_ratio(
         predict(model.marginal, s_block),
         predict(model.h0, s_block),
@@ -323,11 +309,7 @@ def predict_pair(model: PairModel, X) -> tuple[np.ndarray, np.ndarray]:
     Degenerate rows carry NaN in the first array and True in the second.
     Raises when every row is degenerate, since the pair then says nothing.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValidationError(f"X must be 2-D, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValidationError("X contains non-finite entries")
+    X = _check_design(X)
     probs, degenerate = _pair_values(model, X)
     if X.shape[0] and bool(np.all(degenerate)):
         raise DegeneratePairError(f"all {X.shape[0]} rows are degenerate for pair {model.pair}")
@@ -461,12 +443,11 @@ def fit_bimp(
     tau: float = 0.1,
     eps_den: float = 1e-6,
     bonferroni_scope: str = SCOPE_ENV,
-    group_one_hot: bool = True,
 ) -> BimpModel:
     """Run the full pipeline on a dataset with training and test environments.
 
-    Enumerate candidate pairs (one-hot groups enter conditioning sets as
-    units when ``group_one_hot``), keep those accepted by the
+    Enumerate candidate pairs (the one-hot columns of a categorical feature
+    enter conditioning sets as one unit), keep those accepted by the
     residual-distribution test at level ``alpha``, fit h0, h1 and the target
     marginal of each, skip the pairs whose conditioning set the target rows
     are too few to fit (counted as ``skipped_target``), drop the pairs
@@ -483,8 +464,7 @@ def fit_bimp(
     if d.test_label is None:
         raise ValidationError("dataset declares no test environment")
 
-    groups = search_groups(d, group_one_hot)
-    pairs = enumerate_pairs(d.m, max_subset_size=max_subset_size, groups=groups)
+    pairs = enumerate_pairs(d.m, max_subset_size=max_subset_size, groups=feature_groups(d))
 
     reports = tuple(
         batched_residual_tests(d, pairs, alpha=alpha, bonferroni_scope=bonferroni_scope)
@@ -552,11 +532,7 @@ def predict_bimp(model: BimpModel, X) -> BimpPrediction:
     """
     if model.abstained:
         raise ValidationError("model abstained; no pairs available for prediction")
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValidationError(f"X must be 2-D, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValidationError("X contains non-finite entries")
+    X = _check_design(X)
     n = X.shape[0]
     total = np.zeros(n)
     contributors = np.zeros(n)

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import MultiEnvDataset, feature_groups, training_subset
+from .data import MultiEnvDataset, training_subset
 from .errors import ValidationError
 # fit_ols is not called here any more; it stays importable as
 # invariance.fit_ols because the benchmark's tracer self-test checks that
@@ -86,18 +86,6 @@ def report_to_dict(report: InvarianceReport) -> dict:
         },
         "reason": report.reason,
     }
-
-
-def search_groups(d: MultiEnvDataset, group_one_hot: bool = True) -> tuple[tuple[int, ...], ...]:
-    """The column groups a search moves as units.
-
-    With ``group_one_hot`` these are the raw-column groups of
-    :func:`invarbin.data.feature_groups` (a one-hot block is one group);
-    otherwise every column is its own group.
-    """
-    if group_one_hot:
-        return feature_groups(d)
-    return tuple((j,) for j in range(d.m))
 
 
 def conditioning_sets(

@@ -29,18 +29,18 @@ _MAX_HALVINGS = 20
 _PROB_CLIP = 1e-12
 
 
-def _check_design(X, y=None, name: str = "X"):
+def _check_design(X, y=None):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
-        raise ValidationError(f"{name} must be 2-D, got shape {X.shape}")
+        raise ValidationError(f"X must be 2-D, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
-        raise ValidationError(f"{name} contains non-finite entries")
+        raise ValidationError("X contains non-finite entries")
     if y is None:
         return X
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != X.shape[0]:
         raise ValidationError(
-            f"length mismatch: {name} has {X.shape[0]} rows, y has {y.shape[0]}"
+            f"length mismatch: X has {X.shape[0]} rows, y has {y.shape[0]}"
         )
     if not np.all(np.isfinite(y)):
         raise ValidationError("y contains non-finite entries")
@@ -299,15 +299,13 @@ def _log_likelihood(z: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(y * z - np.logaddexp(0.0, z)))
 
 
-def fit_logistic(
-    X, y, max_iter: int = _LOGISTIC_MAX_ITER, tol: float = _LOGISTIC_TOL
-) -> LogisticModel:
+def fit_logistic(X, y) -> LogisticModel:
     """Logistic regression by damped Newton iteration.
 
     Each Newton step is halved (at most 20 times) until the log-likelihood
     does not decrease, so the recorded loss path is non-increasing.  Stops
-    when the gradient norm falls below ``tol``; on (quasi-)separated data
-    the iteration runs to ``max_iter`` and the model is flagged as not
+    when the gradient norm falls below 1e-8; on (quasi-)separated data the
+    iteration runs to its cap of 100 steps and the model is flagged as not
     converged.  Both classes must be present.
     """
     X, y = _check_design(X, y)
@@ -324,15 +322,12 @@ def fit_logistic(
     z = design @ w
     ll = _log_likelihood(z, y)
     losses = [-ll]
-    converged = False
     it = 0
     p = _sigmoid(z)
     grad = design.T @ (y - p)
-    for it in range(1, max_iter + 1):
-        if np.linalg.norm(grad) < tol:
-            converged = True
-            it -= 1
-            break
+    converged = bool(np.linalg.norm(grad) < _LOGISTIC_TOL)
+    while not converged and it < _LOGISTIC_MAX_ITER:
+        it += 1
         weights = p * (1.0 - p)
         hess = design.T @ (design * weights[:, None])
         try:
@@ -350,16 +345,13 @@ def fit_logistic(
                 break
             scale *= 0.5
         if not improved:
-            converged = bool(np.linalg.norm(grad) < tol)
             break
         w, z, ll = w_new, z_new, ll_new
         losses.append(-ll)
         # the next step starts from this sigmoid and gradient
         p = _sigmoid(z)
         grad = design.T @ (y - p)
-        if np.linalg.norm(grad) < tol:
-            converged = True
-            break
+        converged = bool(np.linalg.norm(grad) < _LOGISTIC_TOL)
     return LogisticModel(
         coef=tuple(float(c) for c in w),
         converged=converged,

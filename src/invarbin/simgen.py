@@ -30,11 +30,23 @@ TARGET = "Y"
 
 _EXACT_ATOM_LIMIT = 10_000
 _MAX_ATOMS = 1_000_000
+_MIN_VIOLATION_GAP = 0.05
 
 
 def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator; (seed, stream) fully determines the draws."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, stream])))
+
+
+def _stack(parts, column_names: tuple[str, ...]) -> MultiEnvDataset:
+    """One dataset from per-environment (label, role, features, response) parts, in order."""
+    return MultiEnvDataset(
+        features=np.vstack([X for _, _, X, _ in parts]),
+        response=np.concatenate([y for _, _, _, y in parts]),
+        env_of=np.asarray([label for label, _, _, y in parts for _ in range(len(y))], dtype=object),
+        environments=tuple(Environment(label, role) for label, role, _, _ in parts),
+        column_names=column_names,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +126,7 @@ def reference_anchor_config(n_per_env: int = 10_000, seed: int = 0) -> AnchorCon
 def gen_anchor(cfg: AnchorConfig) -> MultiEnvDataset:
     """Sample the three-variable family; columns are x1, x2, x3."""
     rng = philox_generator(cfg.seed, stream=1)
-    blocks: list[np.ndarray] = []
-    responses: list[np.ndarray] = []
-    labels: list[str] = []
-    environments: list[Environment] = []
+    parts = []
     all_envs = [(label, p, ROLE_TRAIN) for label, p in cfg.train_params]
     all_envs.append((cfg.test_params[0], cfg.test_params[1], ROLE_TEST))
     for label, params, role in all_envs:
@@ -129,17 +138,8 @@ def gen_anchor(cfg: AnchorConfig) -> MultiEnvDataset:
         y = (params.beta1 * x1 + beta2 * x2 + noise_y > 0).astype(np.int64)
         gamma = np.where(y == 1, cfg.gamma1, cfg.gamma0)
         x3 = gamma * x1 + cfg.sigma * rng.standard_normal(n)
-        blocks.append(np.column_stack([x1, x2, x3]))
-        responses.append(y)
-        labels.extend([label] * n)
-        environments.append(Environment(label, role))
-    return MultiEnvDataset(
-        features=np.vstack(blocks),
-        response=np.concatenate(responses),
-        env_of=np.asarray(labels, dtype=object),
-        environments=tuple(environments),
-        column_names=("x1", "x2", "x3"),
-    )
+        parts.append((label, role, np.column_stack([x1, x2, x3]), y))
+    return _stack(parts, ("x1", "x2", "x3"))
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +238,7 @@ def gen_benchmark(cfg: BenchmarkConfig) -> MultiEnvDataset:
     """
     rng = philox_generator(cfg.seed, stream=1)
     width = cfg.m - 1
-    blocks: list[np.ndarray] = []
-    responses: list[np.ndarray] = []
-    labels: list[str] = []
-    environments: list[Environment] = []
+    parts = []
     eta0 = np.asarray(cfg.eta0)
     eta1 = np.asarray(cfg.eta1)
     for label in cfg.mu:
@@ -259,18 +256,8 @@ def gen_benchmark(cfg: BenchmarkConfig) -> MultiEnvDataset:
             role = ROLE_TRAIN
         slopes = np.where(y[:, None] == 1, eta1, eta0)
         x1 = (rest * slopes).sum(axis=1) + rng.standard_normal(n)
-        blocks.append(np.column_stack([x1, rest]))
-        responses.append(y)
-        labels.extend([label] * n)
-        environments.append(Environment(label, role))
-    names = tuple(f"x{j}" for j in range(1, cfg.m + 1))
-    return MultiEnvDataset(
-        features=np.vstack(blocks),
-        response=np.concatenate(responses),
-        env_of=np.asarray(labels, dtype=object),
-        environments=tuple(environments),
-        column_names=names,
-    )
+        parts.append((label, role, np.column_stack([x1, rest]), y))
+    return _stack(parts, tuple(f"x{j}" for j in range(1, cfg.m + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +413,11 @@ def q_is_non_descendant(spec: ScmSpec) -> bool:
     return not any(q in below for q in spec.q_names)
 
 
-def _k_support(spec: ScmSpec) -> tuple[Fraction, ...]:
+def _k_support(mech: AdditiveMechanism) -> tuple[Fraction, ...]:
     noise_values = set()
-    for noise in spec.k_mechanism.noise.values():
+    for noise in mech.noise.values():
         noise_values.update(noise.values)
-    values = {g + nu for g in spec.k_mechanism.g.values() for nu in noise_values}
+    values = {g + nu for g in mech.g.values() for nu in noise_values}
     return tuple(sorted(values))
 
 
@@ -607,7 +594,7 @@ def sample_scm(spec: ScmSpec, env: str, n: int, seed: int) -> dict[str, np.ndarr
     support_of: dict[str, tuple[Fraction, ...]] = {
         name: var.support for name, var in spec.variables.items()
     }
-    support_of[spec.k_name] = _k_support(spec)
+    support_of[spec.k_name] = _k_support(spec.k_mechanism)
 
     def parent_codes(parents: tuple[str, ...]) -> np.ndarray:
         idx = np.zeros(n, dtype=np.int64)
@@ -661,24 +648,13 @@ def scm_dataset(spec: ScmSpec, n_per_env: int, seed: int, test_env: str) -> Mult
     if test_env not in spec.envs:
         raise ValidationError(f"unknown test environment {test_env!r}")
     feature_names = tuple(name for name in spec.order if name != TARGET)
-    blocks = []
-    responses = []
-    labels: list[str] = []
-    environments = []
+    parts = []
     for i, env in enumerate(spec.envs):
         draws = sample_scm(spec, env, n_per_env, seed=seed * 1000 + i)
-        blocks.append(np.column_stack([draws[name] for name in feature_names]))
-        responses.append(draws[TARGET].astype(np.int64))
-        labels.extend([env] * n_per_env)
         role = ROLE_TEST if env == test_env else ROLE_TRAIN
-        environments.append(Environment(env, role))
-    return MultiEnvDataset(
-        features=np.vstack(blocks),
-        response=np.concatenate(responses),
-        env_of=np.asarray(labels, dtype=object),
-        environments=tuple(environments),
-        column_names=feature_names,
-    )
+        features = np.column_stack([draws[name] for name in feature_names])
+        parts.append((env, role, features, draws[TARGET].astype(np.int64)))
+    return _stack(parts, feature_names)
 
 
 # -- random model builders ---------------------------------------------------
@@ -782,7 +758,7 @@ def random_matching_spec(seed: int) -> ScmSpec:
         child = "D"
         parents = (k_name,)
         support = (Fraction(0), Fraction(1))
-        k_support = _k_support_from(g, noise)
+        k_support = _k_support(mech)
         cpts = _random_cpts(rng, envs, parents, [k_support], 2)
         variables[child] = CptVariable(child, parents, support, cpts)
         order.append(child)
@@ -798,29 +774,20 @@ def random_matching_spec(seed: int) -> ScmSpec:
     )
 
 
-def _k_support_from(g: Mapping[tuple, Fraction], noise: Mapping[str, DiscreteNoise]):
-    values = set()
-    for noise_dist in noise.values():
-        for nu in noise_dist.values:
-            for gv in g.values():
-                values.add(gv + nu)
-    return tuple(sorted(values))
-
-
-def random_violating_spec(seed: int, min_gap: float = 0.05) -> ScmSpec:
+def random_violating_spec(seed: int) -> ScmSpec:
     """A model whose conditioning set includes a descendant of k.
 
     The descendant's mechanism is flipped between the two environments (its
     dependence on k reverses direction), so the class-conditional tables
     disagree across environments by construction.  Draws are retried with
-    the next sub-seed until the realized disagreement reaches ``min_gap``;
+    the next sub-seed until the realized disagreement reaches 0.05;
     the flip makes the first draw succeed in practice.
     """
     for attempt in range(32):
         spec = _violating_candidate(seed * 100 + attempt)
-        if h_invariance_gap(spec) >= min_gap:
+        if h_invariance_gap(spec) >= _MIN_VIOLATION_GAP:
             return spec
-    raise ValidationError(f"could not realize a gap of {min_gap} from seed {seed}")
+    raise ValidationError(f"could not realize a gap of {_MIN_VIOLATION_GAP} from seed {seed}")
 
 
 def _violating_candidate(sub_seed: int) -> ScmSpec:
@@ -848,7 +815,7 @@ def _violating_candidate(sub_seed: int) -> ScmSpec:
         for env in envs
     }
     mech = AdditiveMechanism(r_parents=("A",), g=g, noise=noise)
-    k_support = _k_support_from(g, noise)
+    k_support = _k_support(mech)
 
     # D copies the rank of K in env1 and anti-copies it in env2
     ranks = {v: i for i, v in enumerate(k_support)}

@@ -1,8 +1,11 @@
+import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
+from invarbin import cli
 from invarbin.cli import main
 
 
@@ -135,6 +138,21 @@ def test_fit_predict_mismatched_headers_exit_one(simulated, tmp_path, capsys):
     assert "header" in capsys.readouterr().err
 
 
+def test_fit_predict_blank_test_responses_exit_one(simulated, tmp_path, capsys):
+    # test rows need their labels: they are read only for scoring, but a
+    # blank cell is a third response value
+    test_csv = tmp_path / "blank_test.csv"
+    with open(simulated[2], newline="", encoding="utf-8") as src:
+        rows = list(csv.reader(src))
+    with open(test_csv, "w", newline="", encoding="utf-8") as dst:
+        csv.writer(dst).writerows([rows[0], *([env, "", *x] for env, _, *x in rows[1:])])
+    code = main(
+        ["fit-predict", "--data", *simulated[:2], str(test_csv), "--out", str(tmp_path / "b")]
+    )
+    assert code == 1
+    assert "response column 'y'" in capsys.readouterr().err
+
+
 def test_reproduce_fig1(tmp_path, capsys):
     out = tmp_path / "fig1"
     code = main(
@@ -196,6 +214,119 @@ def test_reproduce_table2_missing_file_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "agaricus-lepiota.data" in capsys.readouterr().err
+
+
+def write_census_fixture(path, n=240, seed=0):
+    """A small adult.data in the UCI layout: no header, ", " separators, "?" for missing."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for i in range(n):
+        age = int(rng.integers(20, 65))
+        years = int(rng.integers(9, 16))
+        rich = rng.random() < 1.0 / (1.0 + np.exp(-(age - 40) / 8.0 - (years - 12) / 2.0))
+        cells = [
+            age,
+            rng.choice(["Private", "Self-emp-not-inc"]),
+            int(rng.integers(10_000, 400_000)),
+            "Bachelors" if years >= 13 else "HS-grad",
+            years,
+            rng.choice(["Married-civ-spouse", "Never-married"]),
+            "?" if i % 20 == 0 else rng.choice(["Sales", "Tech-support"]),
+            rng.choice(["Husband", "Not-in-family"]),
+            rng.choice(["White", "White", "Black"]),
+            rng.choice(["Male", "Female"]),
+            int(rng.choice([0, 0, 0, 5178])),
+            0,
+            int(rng.choice([35, 40, 45, 50])),
+            rng.choice(["United-States", "United-States", "Mexico"]),
+            ">50K" if rich else "<=50K",
+        ]
+        lines.append(", ".join(str(c) for c in cells))
+    path.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
+
+
+def write_mushroom_fixture(path, n=200, seed=0):
+    """A small agaricus-lepiota.data: one-letter codes, "?" only in stalk-root."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(n):
+        cells = {name: rng.choice(["a", "b"]) for name in cli.MUSHROOM_COLUMNS}
+        cells["odor"] = rng.choice(["n", "f", "a"])
+        cells["class"] = "e" if (cells["odor"] != "f") ^ (rng.random() < 0.1) else "p"
+        cells["veil-type"] = "p"
+        cells["stalk-root"] = rng.choice(["b", "e", "?"])
+        cells["habitat"] = rng.choice(["g", "u", "m", "p", "d"])
+        lines.append(",".join(cells[name] for name in cli.MUSHROOM_COLUMNS))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_table(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["experiment", "method", "accuracy", "abstained", "n_pairs"]
+    for _, _, acc, abstained, n_pairs in rows:
+        assert abstained in ("true", "false")
+        assert (acc == "") == (abstained == "true")
+        assert acc == "" or 0.0 <= float(acc) <= 1.0
+        assert int(n_pairs) >= 0
+    return [(experiment, method) for experiment, method, *_ in rows]
+
+
+def test_reproduce_table1_end_to_end(tmp_path):
+    raw = tmp_path / "adult.data"
+    write_census_fixture(raw)
+    rows = cli._read_raw_table(str(raw), cli.CENSUS_COLUMNS, cli.CENSUS_INSTRUCTIONS)
+    complete = [cells for _, cells in rows if "?" not in cells]
+    assert 0 < len(complete) < len(rows) == 240
+    for name, split_column, predicate in cli._census_experiments():
+        d = cli._census_dataset(rows, split_column, predicate)
+        assert d.n == len(complete)
+        expected = {"test": 0, "env_yes": 0, "env_no": 0}
+        for cells in complete:
+            if float(cells[4]) >= 13.0:
+                expected["test"] += 1
+            else:
+                split = predicate(cells[cli.CENSUS_COLUMNS.index(split_column)])
+                expected["env_yes" if split else "env_no"] += 1
+        assert d.env_sizes() == expected
+        origins = set(d.column_origin.values())
+        for excluded in ("income", "education", "education-num", split_column):
+            assert excluded not in origins
+
+    out = tmp_path / "t1"
+    args = ["reproduce", "table1", "--out", str(out), "--census-path", str(raw)]
+    assert main(args + ["--max-subset-size", "1"]) == 0
+    assert read_table(out / "table1.csv") == [
+        (experiment, method)
+        for experiment in ("born-us", "overtime", "caucasian")
+        for method in cli.METHODS
+    ]
+
+
+def test_reproduce_table2_end_to_end(tmp_path):
+    raw = tmp_path / "agaricus-lepiota.data"
+    write_mushroom_fixture(raw)
+    rows = cli._read_raw_table(str(raw), cli.MUSHROOM_COLUMNS, cli.MUSHROOM_INSTRUCTIONS)
+    habitat = cli.MUSHROOM_COLUMNS.index("habitat")
+    assert any("?" in cells for _, cells in rows)
+    for test_habitat in ("m", "p"):
+        d = cli._mushroom_dataset(rows, test_habitat)
+        kept = [cells[habitat] for _, cells in rows if cells[habitat] in ("g", "u", test_habitat)]
+        assert d.env_sizes() == {
+            "grasses": kept.count("g"),
+            "urban": kept.count("u"),
+            "test": kept.count(test_habitat),
+        }
+        origins = set(d.column_origin.values())
+        for excluded in ("class", "habitat", "veil-type", "stalk-root"):
+            assert excluded not in origins
+
+    out = tmp_path / "t2"
+    args = ["reproduce", "table2", "--out", str(out), "--mushroom-path", str(raw)]
+    assert main(args + ["--max-subset-size", "1"]) == 0
+    assert read_table(out / "table2.csv") == [
+        (experiment, method) for experiment in ("meadows", "paths") for method in cli.METHODS
+    ]
 
 
 def test_usage_error_exits_two():

@@ -17,6 +17,8 @@ from invarbin import (
     draw_benchmark_config,
     enumerate_pairs,
     feature_groups,
+    fit_bimp,
+    fit_icp,
     gen_benchmark,
     philox_generator,
     report_to_dict,
@@ -350,6 +352,23 @@ def test_screen_solves_once_per_class_and_size(monkeypatch):
     assert rows["lstsq"] == []
     assert len(rows["pinv"]) == 2 * len(sizes)
     assert tails == [2 * len(d.train_labels) * len(pairs)]
+
+
+def test_searches_move_one_hot_groups_as_units():
+    d = one_hot_dataset()
+    groups = feature_groups(d)
+    assert len(groups) == 5  # three 4-column categoricals, a and b
+
+    def whole_groups(cols):
+        return {j for group in groups if set(group) & set(cols) for j in group}
+
+    subsets = list(fit_icp(d).pvals)
+    screened = {report.pair.s for report in fit_bimp(d).reports}
+    for cols in subsets + sorted(screened):
+        assert set(cols) == whole_groups(cols), cols
+    # default cap: every union of at most three of the five groups
+    assert len(subsets) == 1 + 5 + 10 + 10
+    assert any(len(cols) == 12 for cols in subsets)
 
 
 def test_single_pair_is_the_batched_case():

@@ -150,12 +150,15 @@ def test_spline_shift_equivariant_in_response():
     assert np.max(np.abs(moved - base - 100.0)) < 1e-6
 
 
-def test_logistic_loss_path_non_increasing():
+def _converging_logistic_data():
     rng = np.random.default_rng(12)
     X = rng.normal(size=(500, 3))
     logits = X @ np.array([1.0, -1.0, 0.5])
-    y = (rng.uniform(size=500) < 1.0 / (1.0 + np.exp(-logits))).astype(np.int64)
-    model = fit_logistic(X, y)
+    return X, (rng.uniform(size=500) < 1.0 / (1.0 + np.exp(-logits))).astype(np.int64)
+
+
+def test_logistic_loss_path_non_increasing():
+    model = fit_logistic(*_converging_logistic_data())
     diffs = np.diff(np.asarray(model.loss_path))
     assert np.all(diffs <= 1e-9)
     assert model.converged
@@ -179,6 +182,25 @@ def test_logistic_separable_data_stays_finite():
     assert np.all(probs >= 1e-12)
     assert np.all(probs <= 1.0 - 1e-12)
     assert np.all(np.isfinite(probs))
+
+
+_LINE = np.linspace(-1, 1, 50)
+
+
+@pytest.mark.parametrize(
+    "X, y, expected",
+    [
+        # the starting gradient is exactly zero: converged before any step
+        (np.array([[1.0], [-1.0], [1.0], [-1.0]]), np.array([1, 1, 0, 0]), (True, 0, 1)),
+        # separable: the gradient decays below the tolerance as the slope grows
+        (_LINE[:, None], (_LINE > 0).astype(np.int64), (True, 23, 24)),
+        (*_converging_logistic_data(), (True, 5, 6)),
+    ],
+    ids=["zero-gradient", "separable", "converging"],
+)
+def test_logistic_iteration_counts_are_pinned(X, y, expected):
+    model = fit_logistic(X, y)
+    assert (model.converged, model.n_iter, len(model.loss_path)) == expected
 
 
 def test_logistic_prediction_clipped():
