@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from .baselines import fit_icp, fit_lr_baseline, predict_baseline
 from .bimp import (
-    VARIANT_GAM,
     VARIANT_LINEAR,
     bimp_to_dict,
     fit_bimp,
@@ -246,14 +245,12 @@ def _write_box_svg(path: str, boxes: list[tuple[str, list[float]]]) -> None:
 # -- shared method runner -----------------------------------------------------
 
 
-def _resolve_methods(raw: str, variant: str) -> list[str]:
+def _resolve_methods(raw: str) -> list[str]:
     out = []
     for token in raw.split(","):
         token = token.strip()
         if not token:
             continue
-        if token == "bimp":
-            token = f"bimp-{variant}"
         if token not in METHODS:
             raise ValidationError(f"unknown method {token!r}; choose from {METHODS}")
         if token not in out:
@@ -263,8 +260,12 @@ def _resolve_methods(raw: str, variant: str) -> list[str]:
     return out
 
 
-def _run_method(method: str, d: MultiEnvDataset, opts: dict) -> dict:
-    """Fit one method, predict the test environment, score the predictions."""
+def _run_method(method: str, d: MultiEnvDataset, args, cap=None, replicate: int = 0) -> dict:
+    """Fit one method, predict the test environment, score the predictions.
+
+    ``cap`` bounds the conditioning sets when ``--max-subset-size`` is unset.
+    """
+    cap = cap if args.max_subset_size is None else args.max_subset_size
     test = test_subset(d)
     started = time.perf_counter()
     result: dict = {
@@ -280,12 +281,12 @@ def _run_method(method: str, d: MultiEnvDataset, opts: dict) -> dict:
         variant = method.split("-", 1)[1]
         model = fit_bimp(
             d,
-            alpha=opts["alpha"],
+            alpha=args.alpha,
             variant=variant,
-            max_subset_size=opts["max_subset_size"],
-            tau=opts["tau"],
-            eps_den=opts["eps_den"],
-            bonferroni_scope=opts["bonferroni_scope"],
+            max_subset_size=cap,
+            tau=args.tau,
+            eps_den=args.eps_den,
+            bonferroni_scope=args.bonferroni_scope,
         )
         result["model"] = model
         result["abstained"] = model.abstained
@@ -301,7 +302,7 @@ def _run_method(method: str, d: MultiEnvDataset, opts: dict) -> dict:
         result["probs"] = predict(model, test.features)
         result["labels"] = (result["probs"] >= 0.5).astype(np.int64)
     elif method == "icp":
-        fitted = fit_icp(d, alpha=opts["alpha"], max_subset_size=opts["max_subset_size"])
+        fitted = fit_icp(d, alpha=args.alpha, max_subset_size=cap)
         result["model"] = fitted
         result["abstained"] = fitted.abstained
         if not fitted.abstained:
@@ -316,31 +317,17 @@ def _run_method(method: str, d: MultiEnvDataset, opts: dict) -> dict:
         acc = err = None
     else:
         acc = accuracy(result["labels"], test.response)
-        err = mse(result["probs"], test.response) if result["probs"] is not None else None
+        err = mse(result["probs"], test.response)
     result["summary"] = RunSummary(
         method=method,
-        replicate=opts.get("replicate", 0),
+        replicate=replicate,
         accuracy=acc,
         mse=err,
         abstained=result["abstained"],
         n_pairs=result["n_pairs"],
-        seconds=elapsed if opts.get("timing") else 0.0,
+        seconds=elapsed if args.timing else 0.0,
     )
     return result
-
-
-def _model_opts(args, **overrides) -> dict:
-    """The fit options :func:`_run_method` reads, from the common model flags."""
-    opts = {
-        "alpha": args.alpha,
-        "max_subset_size": args.max_subset_size,
-        "tau": args.tau,
-        "eps_den": args.eps_den,
-        "bonferroni_scope": args.bonferroni_scope,
-        "timing": args.timing,
-    }
-    opts.update(overrides)
-    return opts
 
 
 def _summary_rows(summaries: list[RunSummary]) -> list[list]:
@@ -363,7 +350,7 @@ def _write_predictions(path: str, result: dict) -> None:
             rows.append(
                 [
                     i,
-                    None if probs is None else probs[i],
+                    probs[i],
                     int(labels[i]),
                     bool(fallback[i]) if fallback is not None else False,
                 ]
@@ -449,11 +436,9 @@ def _load_datafiles(paths: list[str], args) -> MultiEnvDataset:
 def cmd_fit_predict(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     d = _load_datafiles(args.data, args)
-    methods = _resolve_methods(args.methods, args.variant)
-    opts = _model_opts(args)
     summaries = []
-    for method in methods:
-        result = _run_method(method, d, opts)
+    for method in _resolve_methods(args.methods):
+        result = _run_method(method, d, args)
         summaries.append(result["summary"])
         _write_predictions(os.path.join(args.out, f"predictions_{method}.csv"), result)
         if method.startswith("bimp-"):
@@ -477,8 +462,7 @@ def cmd_fit_predict(args) -> int:
 
 def cmd_reproduce_fig1(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    n = args.n_per_env or 10_000
-    cfg = reference_anchor_config(n_per_env=n, seed=args.seed)
+    cfg = reference_anchor_config(n_per_env=args.n_per_env, seed=args.seed)
     d = gen_anchor(cfg)
     test = test_subset(d)
     base_rate = float(training_subset(d).response.mean())
@@ -524,14 +508,14 @@ def cmd_reproduce_fig1(args) -> int:
 
 def cmd_reproduce_fig2(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    n = args.n_per_env or 1000
     summaries = []
     for r in range(args.replicates):
-        cfg = draw_benchmark_config(args.seed + r, n_per_env=n)
+        cfg = draw_benchmark_config(args.seed + r, n_per_env=args.n_per_env)
         d = gen_benchmark(cfg)
-        cap = args.max_subset_size if args.max_subset_size is not None else cfg.m - 1
-        opts = _model_opts(args, max_subset_size=cap, replicate=r)
-        summaries.extend(_run_method(method, d, opts)["summary"] for method in METHODS)
+        summaries.extend(
+            _run_method(method, d, args, cap=cfg.m - 1, replicate=r)["summary"]
+            for method in METHODS
+        )
     _write_csv(
         os.path.join(args.out, "fig2_replicates.csv"),
         _SUMMARY_HEADER,
@@ -608,9 +592,15 @@ def _census_experiments():
     )
 
 
+def _derived_dataset(columns: tuple[str, ...], derived, **sniff) -> MultiEnvDataset:
+    """Encode raw rows whose extra last cell names the environment ("test" is held out)."""
+    header = [*columns, "__env__"]
+    spec = sniff_table(header, derived, env_column="__env__", test_env="test", **sniff)
+    return encode_table(header, derived, spec)
+
+
 def _census_dataset(rows, split_column: str, predicate) -> MultiEnvDataset:
     """Rows with any missing cell are dropped; higher education forms the test env."""
-    header = list(CENSUS_COLUMNS) + ["__env__"]
     pos = {c: i for i, c in enumerate(CENSUS_COLUMNS)}
     derived = []
     for line_no, cells in rows:
@@ -628,25 +618,21 @@ def _census_dataset(rows, split_column: str, predicate) -> MultiEnvDataset:
         else:
             env = "env_yes" if predicate(cells[pos[split_column]]) else "env_no"
         derived.append((line_no, cells + [env]))
-    spec = sniff_table(
-        header,
+    return _derived_dataset(
+        CENSUS_COLUMNS,
         derived,
-        env_column="__env__",
         response_column="income",
-        test_env="test",
         response_map={">50K": 1, "<=50K": 0, ">50K.": 1, "<=50K.": 0},
         exclude=("income", "education", "education-num", split_column),
     )
-    return encode_table(header, derived, spec)
 
 
 def _run_table(args, path: str, experiments) -> int:
     """Every method on each (experiment name, dataset) pair; one CSV row each."""
-    opts = _model_opts(args)
     table_rows = []
     for name, d in experiments:
         for method in METHODS:
-            s = _run_method(method, d, opts)["summary"]
+            s = _run_method(method, d, args)["summary"]
             table_rows.append([name, method, s.accuracy, s.abstained, s.n_pairs])
             shown = "abstained" if s.abstained else f"{s.accuracy:.4f}"
             print(f"{name} / {method}: {shown}")
@@ -666,7 +652,6 @@ def cmd_reproduce_table1(args) -> int:
 
 def _mushroom_dataset(rows, test_habitat: str) -> MultiEnvDataset:
     """Habitats form the environments; anything outside the three is dropped."""
-    header = list(MUSHROOM_COLUMNS) + ["__env__"]
     pos = {c: i for i, c in enumerate(MUSHROOM_COLUMNS)}
     env_of_habitat = {"g": "grasses", "u": "urban", test_habitat: "test"}
     derived = []
@@ -675,16 +660,13 @@ def _mushroom_dataset(rows, test_habitat: str) -> MultiEnvDataset:
         if env is None:
             continue
         derived.append((line_no, cells + [env]))
-    spec = sniff_table(
-        header,
+    return _derived_dataset(
+        MUSHROOM_COLUMNS,
         derived,
-        env_column="__env__",
         response_column="class",
-        test_env="test",
         response_map={"e": 1, "p": 0},
         exclude=("class", "habitat", "veil-type", "stalk-root"),
     )
-    return encode_table(header, derived, spec)
 
 
 def cmd_reproduce_table2(args) -> int:
@@ -700,97 +682,91 @@ def cmd_reproduce_table2(args) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
-def _add_common_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.1, help="test level (default 0.1)")
-    p.add_argument(
-        "--max-subset-size",
-        type=int,
-        default=None,
-        help="cap on conditioning-set size in groups (default: min(3, available))",
-    )
-    p.add_argument("--tau", type=float, default=0.1, help="score-filter slack (default 0.1)")
-    p.add_argument(
-        "--eps-den",
-        type=float,
-        default=1e-6,
-        help="relative degeneracy tolerance for the ratio denominator (default 1e-6)",
-    )
-    p.add_argument(
-        "--bonferroni-scope",
-        choices=(SCOPE_ENV, SCOPE_ENV_AND_CLASS),
-        default=SCOPE_ENV,
-        help="multiplicity correction scope (default: env)",
-    )
-    p.add_argument("--timing", action="store_true", help="record wall-clock seconds in outputs")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="invarbin",
         description="Binary classification in an unseen environment via invariant matching pairs.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="write benchmark replicates as CSV + manifest")
-    p_sim.add_argument("--out", required=True, help="output directory")
+    # Flag groups shared between commands, attached as argparse parents.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="output directory")
+    eps_den = argparse.ArgumentParser(add_help=False)
+    eps_den.add_argument(
+        "--eps-den",
+        type=float,
+        default=1e-6,
+        help="relative degeneracy tolerance for the ratio denominator (default 1e-6)",
+    )
+    model = argparse.ArgumentParser(add_help=False, parents=[eps_den])
+    model.add_argument("--alpha", type=float, default=0.1, help="test level (default 0.1)")
+    model.add_argument(
+        "--max-subset-size",
+        type=int,
+        default=None,
+        help="cap on conditioning-set size in groups (default: min(3, available); fig2: m - 1)",
+    )
+    model.add_argument("--tau", type=float, default=0.1, help="score-filter slack (default 0.1)")
+    model.add_argument(
+        "--bonferroni-scope",
+        choices=(SCOPE_ENV, SCOPE_ENV_AND_CLASS),
+        default=SCOPE_ENV,
+        help="multiplicity correction scope (default: env)",
+    )
+    model.add_argument("--timing", action="store_true", help="record wall-clock seconds in outputs")
+
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_sim = sub.add_parser(
+        "simulate", parents=[out], help="write benchmark replicates as CSV + manifest"
+    )
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--replicates", type=int, default=1)
     p_sim.add_argument("--m", type=int, default=None, help="feature count (default: drawn in 3..7)")
     p_sim.add_argument("--n-per-env", type=int, default=1000)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_fit = sub.add_parser("fit-predict", help="fit methods on CSV data and predict the test env")
+    p_fit = sub.add_parser(
+        "fit-predict", parents=[out, model], help="fit methods on CSV data and predict the test env"
+    )
     p_fit.add_argument("--data", nargs="+", required=True, help="input CSV file(s)")
-    p_fit.add_argument("--out", required=True, help="output directory")
     p_fit.add_argument("--schema", default=None, help="EncodingSpec JSON (default: sniff)")
     p_fit.add_argument("--env-column", default="env")
     p_fit.add_argument("--response-column", default="y")
     p_fit.add_argument("--test-env", default="test", help="environment label with the test role")
     p_fit.add_argument(
-        "--methods",
-        default="bimp-linear",
-        help=f"comma-separated subset of {','.join(METHODS)} (or 'bimp')",
+        "--methods", default="bimp-linear", help=f"comma-separated subset of {','.join(METHODS)}"
     )
-    p_fit.add_argument(
-        "--variant",
-        choices=(VARIANT_LINEAR, VARIANT_GAM),
-        default=VARIANT_LINEAR,
-        help="marginal regressor used when a method is given as plain 'bimp'",
-    )
-    p_fit.add_argument("--seed", type=int, default=0, help="accepted for interface symmetry")
-    _add_common_model_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit_predict)
 
     p_rep = sub.add_parser("reproduce", help="rebuild the reference figures and tables")
-    p_rep.add_argument(
-        "target", choices=("fig1", "fig2", "table1", "table2"), help="artifact to reproduce"
-    )
-    p_rep.add_argument("--out", required=True, help="output directory")
-    p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--replicates", type=int, default=200)
-    p_rep.add_argument("--n-per-env", type=int, default=None)
-    p_rep.add_argument("--svg", action="store_true", help="also write a static SVG")
-    p_rep.add_argument("--census-path", default="adult.data")
-    p_rep.add_argument("--mushroom-path", default="agaricus-lepiota.data")
-    _add_common_model_flags(p_rep)
-    p_rep.set_defaults(func=None)
+    targets = p_rep.add_subparsers(dest="target", required=True, help="artifact to reproduce")
+    p_fig1 = targets.add_parser("fig1", parents=[out, eps_den], help="the two anchor pairs")
+    p_fig1.add_argument("--seed", type=int, default=0)
+    p_fig1.add_argument("--n-per-env", type=int, default=10_000)
+    p_fig1.add_argument("--svg", action="store_true", help="also write a static SVG")
+    p_fig1.set_defaults(func=cmd_reproduce_fig1)
 
+    p_fig2 = targets.add_parser("fig2", parents=[out, model], help="the synthetic benchmark")
+    p_fig2.add_argument("--seed", type=int, default=0)
+    p_fig2.add_argument("--replicates", type=int, default=200)
+    p_fig2.add_argument("--n-per-env", type=int, default=1000)
+    p_fig2.add_argument("--svg", action="store_true", help="also write a static SVG")
+    p_fig2.set_defaults(func=cmd_reproduce_fig2)
+
+    p_t1 = targets.add_parser("table1", parents=[out, model], help="the census experiments")
+    p_t1.add_argument("--census-path", default="adult.data")
+    p_t1.set_defaults(func=cmd_reproduce_table1)
+
+    p_t2 = targets.add_parser("table2", parents=[out, model], help="the mushroom experiments")
+    p_t2.add_argument("--mushroom-path", default="agaricus-lepiota.data")
+    p_t2.set_defaults(func=cmd_reproduce_table2)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "reproduce":
-            dispatch = {
-                "fig1": cmd_reproduce_fig1,
-                "fig2": cmd_reproduce_fig2,
-                "table1": cmd_reproduce_table1,
-                "table2": cmd_reproduce_table2,
-            }
-            return dispatch[args.target](args)
         return args.func(args)
     except InvarbinError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -426,7 +426,6 @@ def sniff_table(
     test_env: str | None = None,
     response_map: Mapping[str, int] | None = None,
     missing_policy: str = "drop_row",
-    missing_token: str = _MISSING_TOKEN,
     exclude: tuple[str, ...] = (),
 ) -> EncodingSpec:
     """Build an :class:`EncodingSpec` by inspecting parsed cells once.
@@ -462,7 +461,7 @@ def sniff_table(
         response_values.add(cells[positions[response_column]])
         for col in feature_cols:
             cell = cells[positions[col]]
-            if _is_missing(cell, missing_token):
+            if _is_missing(cell, _MISSING_TOKEN):
                 continue
             seen[col].add(cell)
             if numeric_ok[col]:
@@ -480,7 +479,7 @@ def sniff_table(
             kinds[col] = "categorical"
             cats = sorted(seen[col])
             if missing_policy == "missing_as_category":
-                cats = sorted(set(cats) | {missing_token})
+                cats = sorted(set(cats) | {_MISSING_TOKEN})
             categories[col] = tuple(cats)
 
     if response_map is None:
@@ -511,7 +510,6 @@ def sniff_table(
         env_column=env_column,
         env_map=env_map,
         missing_policy=missing_policy,
-        missing_token=missing_token,
     )
 
 
@@ -522,7 +520,6 @@ def sniff_encoding_spec(
     test_env: str | None = None,
     response_map: Mapping[str, int] | None = None,
     missing_policy: str = "drop_row",
-    missing_token: str = _MISSING_TOKEN,
 ) -> EncodingSpec:
     """File-reading wrapper around :func:`sniff_table`."""
     header, rows = _read_csv(path)
@@ -534,5 +531,4 @@ def sniff_encoding_spec(
         test_env=test_env,
         response_map=response_map,
         missing_policy=missing_policy,
-        missing_token=missing_token,
     )

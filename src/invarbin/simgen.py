@@ -28,8 +28,7 @@ from .errors import SupportSizeError, ValidationError
 
 TARGET = "Y"
 
-_EXACT_ATOM_LIMIT = 10_000
-_MAX_ATOMS = 1_000_000
+_MAX_ATOMS = 10_000
 _MIN_VIOLATION_GAP = 0.05
 
 
@@ -434,9 +433,8 @@ def _atom_count(spec: ScmSpec) -> int:
 class DiscreteOracle:
     """Exact per-environment joint distribution and conditional tables.
 
-    Probabilities are rational numbers when the assignment count stays small
-    (at most 10^4 atoms) and extended-precision floats up to the hard cap of
-    10^6 atoms; beyond that construction refuses.
+    Probabilities are rational numbers; construction refuses a joint support
+    of more than 10^4 atoms.
     """
 
     def __init__(self, spec: ScmSpec):
@@ -447,20 +445,15 @@ class DiscreteOracle:
                 f"joint support would hold {atoms} atoms (limit {_MAX_ATOMS})"
             )
         self.atom_count = atoms
-        self.exact = atoms <= _EXACT_ATOM_LIMIT
         self._joint = {env: self._build_joint(env) for env in spec.envs}
         self._s_tables: dict[str, dict] = {}
 
-    def _convert(self, p: Fraction):
-        return p if self.exact else np.longdouble(p.numerator) / np.longdouble(p.denominator)
-
-    def _build_joint(self, env: str) -> dict[tuple, object]:
+    def _build_joint(self, env: str) -> dict[tuple, Fraction]:
         spec = self.spec
         position = {name: i for i, name in enumerate(spec.order)}
         r_slots = tuple(position[p] for p in spec.k_mechanism.r_parents)
         y_slot = position[TARGET]
         noise = spec.k_mechanism.noise[env]
-        zero = Fraction(0) if self.exact else np.longdouble(0.0)
 
         # Extend partial assignments variable by variable in topological
         # order, so a child of k sees k's realized value in its CPT key.
@@ -485,9 +478,9 @@ class DiscreteOracle:
                             extended.append((prefix + (value,), prob * q))
             states = extended
 
-        joint: dict[tuple, object] = {}
+        joint: dict[tuple, Fraction] = {}
         for assignment, prob in states:
-            joint[assignment] = joint.get(assignment, zero) + self._convert(prob)
+            joint[assignment] = joint.get(assignment, Fraction(0)) + prob
         return joint
 
     def total_mass(self, env: str):
@@ -501,11 +494,10 @@ class DiscreteOracle:
         slots = [spec.order.index(name) for name in spec.s_names]
         y_slot = spec.order.index(TARGET)
         k_slot = spec.order.index(spec.k_name)
-        zero = Fraction(0) if self.exact else np.longdouble(0.0)
         table: dict[tuple, list] = {}
         for assignment, p in self._joint[env].items():
             key = tuple(assignment[i] for i in slots)
-            cell = table.setdefault(key, [zero, zero, zero, zero, zero])
+            cell = table.setdefault(key, [Fraction(0)] * 5)
             y = assignment[y_slot]
             k_val = assignment[k_slot]
             cell[0] += p
@@ -547,7 +539,7 @@ def ratio_identity_gap(spec: ScmSpec, oracle: DiscreteOracle | None = None) -> f
     undefined or where the two coincide (vanishing denominator).
     """
     oracle = oracle or DiscreteOracle(spec)
-    worst = Fraction(0) if oracle.exact else 0.0
+    worst = Fraction(0)
     for env in spec.envs:
         for x_s in oracle.support_s(env):
             h0 = oracle.h_given_s(env, x_s, 0)
@@ -569,7 +561,7 @@ def h_invariance_gap(spec: ScmSpec, oracle: DiscreteOracle | None = None) -> flo
     environment-constant wherever it is defined.
     """
     oracle = oracle or DiscreteOracle(spec)
-    worst = Fraction(0) if oracle.exact else 0.0
+    worst = Fraction(0)
     for env_a, env_b in itertools.combinations(spec.envs, 2):
         shared = set(oracle.support_s(env_a)) & set(oracle.support_s(env_b))
         for x_s in shared:

@@ -101,11 +101,11 @@ def test_fit_predict_rerun_is_byte_identical(simulated, tmp_path):
     assert read_tree(str(a)) == read_tree(str(b))
 
 
-def test_fit_predict_plain_bimp_uses_variant(simulated, tmp_path):
+def test_fit_predict_bimp_gam_writes_its_predictions(simulated, tmp_path):
     out = tmp_path / "run"
     code = main(
         ["fit-predict", "--data", *simulated, "--out", str(out),
-         "--methods", "bimp", "--variant", "gam", "--max-subset-size", "2"]
+         "--methods", "bimp-gam", "--max-subset-size", "2"]
     )
     assert code == 0
     assert "predictions_bimp-gam.csv" in os.listdir(out)
@@ -170,6 +170,12 @@ def test_reproduce_fig1(tmp_path, capsys):
     assert "pair (x3, {x1})" in svg
     shown = capsys.readouterr().out
     assert "pair x3|x1" in shown
+
+
+def test_reproduce_fig1_zero_rows_exit_one(tmp_path, capsys):
+    code = main(["reproduce", "fig1", "--out", str(tmp_path / "f"), "--n-per-env", "0"])
+    assert code == 1
+    assert "n_per_env must be positive" in capsys.readouterr().err
 
 
 def test_reproduce_fig2_small(tmp_path):
@@ -327,6 +333,37 @@ def test_reproduce_table2_end_to_end(tmp_path):
     assert read_table(out / "table2.csv") == [
         (experiment, method) for experiment in ("meadows", "paths") for method in cli.METHODS
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit-predict", "--seed", "1"],
+        ["fit-predict", "--methods", "bimp", "--variant", "gam"],
+        ["reproduce", "fig1", "--n-per-env", "200", "--alpha", "0.2"],
+        ["reproduce", "fig2", "--replicates", "1", "--n-per-env", "200", "--census-path", "x"],
+        ["reproduce", "table1", "--svg"],
+        ["reproduce", "table2", "--seed", "3"],
+    ],
+    ids=["fit-predict-seed", "fit-predict-variant", "fig1-alpha", "fig2-census-path",
+         "table1-svg", "table2-seed"],
+)
+def test_flag_the_command_does_not_read_exits_two(argv, simulated, tmp_path, capsys):
+    # every other argument is valid and small, so only the stray flag can fail
+    census, mushroom = tmp_path / "adult.data", tmp_path / "agaricus-lepiota.data"
+    write_census_fixture(census)
+    write_mushroom_fixture(mushroom)
+    inputs = {
+        "fit-predict": ["--data", *simulated, "--max-subset-size", "1"],
+        "table1": ["--census-path", str(census), "--max-subset-size", "1"],
+        "table2": ["--mushroom-path", str(mushroom), "--max-subset-size", "1"],
+    }
+    command = argv[1] if argv[0] == "reproduce" else argv[0]
+    extra = inputs.get(command, [])
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--out", str(tmp_path / "out"), *extra])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_usage_error_exits_two():

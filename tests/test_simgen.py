@@ -177,17 +177,20 @@ def brute_force_tables(spec: ScmSpec, env: str):
 def test_oracle_matches_brute_force_enumeration():
     spec = tiny_matching_spec()
     oracle = DiscreteOracle(spec)
-    assert oracle.exact
     for env in spec.envs:
         assert oracle.total_mass(env) == 1
         reference = brute_force_tables(spec, env)
         assert set(oracle.support_s(env)) == {(a,) for a in reference}
         for a, cell in reference.items():
             mass, mass1, sum_k, sum_k1, sum_k0 = cell
-            assert oracle.e_y_given_s(env, (a,)) == mass1 / mass
-            assert oracle.e_k_given_s(env, (a,)) == sum_k / mass
-            assert oracle.h_given_s(env, (a,), 1) == sum_k1 / mass1
-            assert oracle.h_given_s(env, (a,), 0) == sum_k0 / (mass - mass1)
+            got = (
+                oracle.e_y_given_s(env, (a,)),
+                oracle.e_k_given_s(env, (a,)),
+                oracle.h_given_s(env, (a,), 1),
+                oracle.h_given_s(env, (a,), 0),
+            )
+            assert all(isinstance(v, Fraction) for v in got)
+            assert got == (mass1 / mass, sum_k / mass, sum_k1 / mass1, sum_k0 / (mass - mass1))
 
 
 def test_tiny_spec_satisfies_matching_identity_exactly():
@@ -277,39 +280,43 @@ def test_violating_specs_break_invariance():
         assert h_invariance_gap(spec) >= 0.05
 
 
-def test_oracle_refuses_oversized_support():
-    size = 1500
+def uniform_roots_spec(n_roots: int, size: int, noise: DiscreteNoise) -> ScmSpec:
+    """Independent uniform roots on {0, ..., size - 1}, a fair-coin Y and K = Y + noise."""
+
+    def both_envs(row):
+        return {"e1": {(): row}, "e2": {(): row}}
+
+    names = tuple(f"R{i}" for i in range(n_roots))
     support = tuple(F(i) for i in range(size))
-    row = tuple(F(1, size) for _ in range(size))
-
-    def root(name):
-        return CptVariable(
-            name=name, parents=(), support=support, cpts={"e1": {(): row}, "e2": {(): row}}
-        )
-
-    y = CptVariable(
-        name="Y",
-        parents=(),
-        support=(F(0), F(1)),
-        cpts={
-            "e1": {(): (F(1, 2), F(1, 2))},
-            "e2": {(): (F(1, 2), F(1, 2))},
-        },
-    )
-    noise = DiscreteNoise((F(-1), F(1)), (F(1, 2), F(1, 2)))
+    uniform = both_envs(tuple(F(1, size) for _ in range(size)))
+    roots = {
+        name: CptVariable(name=name, parents=(), support=support, cpts=uniform) for name in names
+    }
+    y = CptVariable(name="Y", parents=(), support=(F(0), F(1)), cpts=both_envs((F(1, 2), F(1, 2))))
     mech = AdditiveMechanism(
         r_parents=(), g={(F(0),): F(0), (F(1),): F(1)}, noise={"e1": noise, "e2": noise}
     )
-    spec = ScmSpec(
+    return ScmSpec(
         envs=("e1", "e2"),
-        order=("A", "B", "Y", "K"),
-        variables={"A": root("A"), "B": root("B"), "Y": y},
+        order=(*names, "Y", "K"),
+        variables={**roots, "Y": y},
         k_name="K",
         k_mechanism=mech,
-        q_names=("A",),
+        q_names=names[:1],
     )
+
+
+def test_oracle_refuses_oversized_support():
+    noise = DiscreteNoise((F(-1), F(1)), (F(1, 2), F(1, 2)))
     with pytest.raises(SupportSizeError):
-        DiscreteOracle(spec)
+        DiscreteOracle(uniform_roots_spec(2, 1500, noise))
+
+
+def test_oracle_refuses_more_than_ten_thousand_atoms():
+    # 2^11 root values x 2 classes x 3 noise values = 12,288 atoms, above the 10^4 cap
+    noise = DiscreteNoise((F(-1), F(0), F(1)), (F(1, 4), F(1, 2), F(1, 4)))
+    with pytest.raises(SupportSizeError, match="12288 atoms"):
+        DiscreteOracle(uniform_roots_spec(11, 2, noise))
 
 
 def test_noise_must_be_zero_mean():
