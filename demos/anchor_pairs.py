@@ -2,10 +2,13 @@
 Why the choice of matching pair matters
 =======================================
 
-Two training environments share the mechanisms of x1 and x3 but disagree
-on x2.  A pair built on the shared mechanism transfers to the shifted
-test environment; a pair built on the unstable one does not, even though
-both look fine in-sample.
+Every environment draws x1 ~ N(0, 1), the class from
+2*x1 + beta2*x2 + N(0, 1) > 0, and x3 = gamma_y*x1 + N(0, 1) with
+gamma = (1, 3).  The two training environments draw x2 ~ N(1, 1) with
+beta2 = 1; the held-out test environment draws x2 ~ N(-1, 1) with
+beta2 = 0, so x2 stops carrying the class.  A pair built on the shared
+mechanism of x3 transfers to the shifted test environment; a pair built
+on x2 does not, even though both look fine in-sample.
 """
 
 import numpy as np
@@ -16,18 +19,15 @@ from invarbin import (
     fit_pair_model,
     gen_anchor,
     predict_pair,
-    reference_anchor_config,
     test_subset,
     training_subset,
 )
 
-cfg = reference_anchor_config(n_per_env=10_000, seed=0)
-d = gen_anchor(cfg)
+d = gen_anchor(10_000, 0)
 print(f"environments: {[e.label for e in d.environments]}")
-for label, params in cfg.train_params:
-    print(f"  {label}: beta1={params.beta1} mu2={params.mu2} beta2={cfg.beta2}")
-label, params = cfg.test_params
-print(f"  {label} (held out): beta1={params.beta1} mu2={params.mu2} beta2={params.beta2}")
+for env in d.environments:
+    x2 = d.features[d.env_of == env.label, 1]
+    print(f"  {env.label} ({env.role}): mean of x2 {x2.mean():+.3f}")
 
 test = test_subset(d)
 base_rate = float(training_subset(d).response.mean())

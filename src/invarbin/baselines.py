@@ -98,30 +98,15 @@ def fit_icp(
     pvals = {cols: bonferroni_combine(by_env) for cols, by_env in zip(subsets, p)}
     accepted = tuple(cols for cols in subsets if pvals[cols] > alpha)
 
-    if not accepted:
-        return IcpResult(
-            accepted=(), intersection=(), model=None, abstained=True, alpha=alpha, pvals=pvals
-        )
-    common = set(accepted[0])
-    for cols in accepted[1:]:
-        common &= set(cols)
-    intersection = tuple(sorted(common))
-    if not intersection:
-        return IcpResult(
-            accepted=accepted,
-            intersection=(),
-            model=None,
-            abstained=True,
-            alpha=alpha,
-            pvals=pvals,
-        )
+    # an empty acceptance list has an empty intersection
+    intersection = tuple(sorted(set.intersection(*map(set, accepted)))) if accepted else ()
     # The intersection is a union of at most ``max_subset_size`` whole
     # groups, so it is one of the subsets already fitted.
     return IcpResult(
         accepted=accepted,
         intersection=intersection,
-        model=models[intersection],
-        abstained=False,
+        model=models[intersection] if intersection else None,
+        abstained=not intersection,
         alpha=alpha,
         pvals=pvals,
     )

@@ -157,6 +157,16 @@ def _check_variant(variant: str) -> None:
         raise ValidationError(f"unknown variant {variant!r}")
 
 
+def _check_eps_den(eps_den: float) -> None:
+    if not eps_den > 0.0:
+        raise ValidationError(f"eps_den must be positive, got {eps_den!r}")
+
+
+def _check_tau(tau: float) -> None:
+    if not tau >= 0.0:
+        raise ValidationError(f"tau must be non-negative, got {tau!r}")
+
+
 @dataclass(frozen=True)
 class _GroupFit:
     """h0, h1 and the target marginal for one conditioning set S.
@@ -271,8 +281,7 @@ def fit_pair_model(
     three fits are this pair's columns of the view's solve for S.
     """
     _check_variant(variant)
-    if not eps_den > 0.0:
-        raise ValidationError(f"eps_den must be positive, got {eps_den!r}")
+    _check_eps_den(eps_den)
     if pair.k >= d.m or (pair.s and max(pair.s) >= d.m):
         raise ValidationError(f"pair {pair} references columns beyond m = {d.m}")
     if view is None:
@@ -371,8 +380,7 @@ def score_filter(
     """
     if not models:
         raise ValidationError("score_filter needs at least one pair model")
-    if not tau >= 0.0:
-        raise ValidationError(f"tau must be non-negative, got {tau!r}")
+    _check_tau(tau)
     if view is None:
         view = TrainingView(d)
     by_group: dict[tuple[tuple[int, ...], str], list[PairModel]] = {}
@@ -398,17 +406,19 @@ class BimpModel:
     """Fitted ensemble over the accepted, score-filtered pairs.
 
     ``abstained`` is True when no pair survived; such a model refuses to
-    predict.  ``base_rate`` (pooled training class-1 frequency) backs rows
-    where every kept pair is degenerate.  ``counts`` records how many pairs
-    were enumerated, accepted, skipped, rejected, skipped after acceptance
-    because the target rows could not fit their marginal, dropped as mostly
-    degenerate on the target, and finally kept.
+    predict.  ``m`` is the column count of the fitted dataset; predictions
+    need the same width.  ``base_rate`` (pooled training class-1
+    frequency) backs rows where every kept pair is degenerate.  ``counts``
+    records how many pairs were enumerated, accepted, skipped, rejected,
+    skipped after acceptance because the target rows could not fit their
+    marginal, dropped as mostly degenerate on the target, and finally kept.
     """
 
     variant: str
     alpha: float
     tau: float
     eps_den: float
+    m: int
     pair_models: tuple[PairModel, ...]
     scores: Mapping[Pair, float]
     threshold: float | None
@@ -459,6 +469,8 @@ def fit_bimp(
     _check_variant(variant)
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_tau(tau)
+    _check_eps_den(eps_den)
     if len(d.train_labels) < 2:
         raise ValidationError("need at least two training environments")
     if d.test_label is None:
@@ -512,6 +524,7 @@ def fit_bimp(
         alpha=alpha,
         tau=tau,
         eps_den=eps_den,
+        m=d.m,
         pair_models=tuple(survivors),
         scores=scores,
         threshold=threshold,
@@ -528,11 +541,14 @@ def predict_bimp(model: BimpModel, X) -> BimpPrediction:
     Rows where a pair is degenerate simply lose that pair's vote; rows where
     every pair is degenerate fall back to the training base rate and are
     flagged.  Hard labels threshold the probability at 1/2, with ties going
-    to class 1.  An abstaining model refuses to predict.
+    to class 1.  An abstaining model refuses to predict, and ``X`` must have
+    the fitted column count.
     """
     if model.abstained:
         raise ValidationError("model abstained; no pairs available for prediction")
     X = _check_design(X)
+    if X.shape[1] != model.m:
+        raise ValidationError(f"X has {X.shape[1]} columns; the model was fitted on {model.m}")
     n = X.shape[0]
     total = np.zeros(n)
     contributors = np.zeros(n)

@@ -48,7 +48,6 @@ from .simgen import (
     draw_benchmark_config,
     gen_anchor,
     gen_benchmark,
-    reference_anchor_config,
 )
 
 METHODS = ("bimp-linear", "bimp-gam", "lr", "icp")
@@ -462,8 +461,7 @@ def cmd_fit_predict(args) -> int:
 
 def cmd_reproduce_fig1(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    cfg = reference_anchor_config(n_per_env=args.n_per_env, seed=args.seed)
-    d = gen_anchor(cfg)
+    d = gen_anchor(args.n_per_env, args.seed)
     test = test_subset(d)
     base_rate = float(training_subset(d).response.mean())
     pair_probs = {}

@@ -425,7 +425,6 @@ def sniff_table(
     response_column: str,
     test_env: str | None = None,
     response_map: Mapping[str, int] | None = None,
-    missing_policy: str = "drop_row",
     exclude: tuple[str, ...] = (),
 ) -> EncodingSpec:
     """Build an :class:`EncodingSpec` by inspecting parsed cells once.
@@ -477,10 +476,7 @@ def sniff_table(
             kinds[col] = "numeric"
         else:
             kinds[col] = "categorical"
-            cats = sorted(seen[col])
-            if missing_policy == "missing_as_category":
-                cats = sorted(set(cats) | {_MISSING_TOKEN})
-            categories[col] = tuple(cats)
+            categories[col] = tuple(sorted(seen[col]))
 
     if response_map is None:
         distinct = sorted(response_values)
@@ -509,7 +505,6 @@ def sniff_table(
         response_map=dict(response_map),
         env_column=env_column,
         env_map=env_map,
-        missing_policy=missing_policy,
     )
 
 
@@ -519,7 +514,6 @@ def sniff_encoding_spec(
     response_column: str,
     test_env: str | None = None,
     response_map: Mapping[str, int] | None = None,
-    missing_policy: str = "drop_row",
 ) -> EncodingSpec:
     """File-reading wrapper around :func:`sniff_table`."""
     header, rows = _read_csv(path)
@@ -530,5 +524,4 @@ def sniff_encoding_spec(
         response_column=response_column,
         test_env=test_env,
         response_map=response_map,
-        missing_policy=missing_policy,
     )

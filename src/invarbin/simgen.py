@@ -54,89 +54,39 @@ def _stack(parts, column_names: tuple[str, ...]) -> MultiEnvDataset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnchorEnvParams:
-    """Per-environment knobs of the three-variable family.
+# The reference setting: (label, role, mean of x2, coefficient of x2 in the
+# class rule) per environment.  The test environment flips x2's mean and
+# severs it from the class, so any predictor leaning on x2's training
+# association breaks.
+_ANCHOR_ENVS = (
+    ("train1", ROLE_TRAIN, 1.0, 1.0),
+    ("train2", ROLE_TRAIN, 1.0, 1.0),
+    ("test", ROLE_TEST, -1.0, 0.0),
+)
+_ANCHOR_BETA1 = 2.0
+_ANCHOR_GAMMA = (1.0, 3.0)
 
-    ``beta2`` overrides the configuration-wide coefficient of x2 in this
-    environment when set (the test environment of the reference setting
-    severs x2 from the response this way).
+
+def gen_anchor(n_per_env: int, seed: int) -> MultiEnvDataset:
+    """Sample the three-variable family's reference setting; columns x1, x2, x3.
+
+    In every environment x1 ~ N(0, 1) and x2 ~ N(mu2, 1) independently; the
+    class is the indicator of 2*x1 + beta2*x2 + N(0, 1) > 0, and x3 =
+    gamma_y*x1 + N(0, 1) with (gamma_0, gamma_1) = (1, 3).  The x3 mechanism
+    never changes across environments, which is what makes the pair
+    (x3, {x1}) usable.  ``_ANCHOR_ENVS`` gives mu2 and beta2 per environment.
     """
-
-    beta1: float
-    mu1: float = 0.0
-    mu2: float = 1.0
-    beta2: float | None = None
-
-
-@dataclass(frozen=True)
-class AnchorConfig:
-    """Three observed variables; x3's slope on x1 switches with the class.
-
-    x1 ~ N(mu1, sigma1^2), x2 ~ N(mu2, sigma2^2) independently; the class is
-    the sign indicator of beta1*x1 + beta2*x2 + noise; x3 = gamma_y * x1 +
-    noise with gamma_y in {gamma0, gamma1}.  The x3 mechanism never changes
-    across environments, which is what makes the pair (x3, {x1}) usable.
-    """
-
-    train_params: tuple[tuple[str, AnchorEnvParams], ...]
-    test_params: tuple[str, AnchorEnvParams]
-    beta2: float = 1.0
-    sigma1: float = 1.0
-    sigma2: float = 1.0
-    sigma: float = 1.0
-    gamma0: float = 1.0
-    gamma1: float = 3.0
-    n_per_env: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if len(self.train_params) < 2:
-            raise ValidationError("need at least two training environments")
-        labels = [label for label, _ in self.train_params] + [self.test_params[0]]
-        if len(set(labels)) != len(labels):
-            raise ValidationError("environment labels must be unique")
-        for s in (self.sigma1, self.sigma2, self.sigma):
-            if not s > 0:
-                raise ValidationError("scale parameters must be positive")
-        if self.gamma0 == self.gamma1:
-            raise ValidationError("gamma0 and gamma1 must differ")
-        if self.n_per_env < 1:
-            raise ValidationError("n_per_env must be positive")
-
-
-def reference_anchor_config(n_per_env: int = 10_000, seed: int = 0) -> AnchorConfig:
-    """The documented reference setting of the three-variable family.
-
-    Two training environments share beta1 = 2 and mu2 = 1; the test
-    environment keeps beta1 = 2 but sets beta2 = 0 and mu2 = -1, so any
-    predictor leaning on x2's training association breaks.
-    """
-    train = AnchorEnvParams(beta1=2.0, mu1=0.0, mu2=1.0)
-    test = AnchorEnvParams(beta1=2.0, mu1=0.0, mu2=-1.0, beta2=0.0)
-    return AnchorConfig(
-        train_params=(("train1", train), ("train2", train)),
-        test_params=("test", test),
-        n_per_env=n_per_env,
-        seed=seed,
-    )
-
-
-def gen_anchor(cfg: AnchorConfig) -> MultiEnvDataset:
-    """Sample the three-variable family; columns are x1, x2, x3."""
-    rng = philox_generator(cfg.seed, stream=1)
+    if n_per_env < 1:
+        raise ValidationError("n_per_env must be positive")
+    rng = philox_generator(seed, stream=1)
     parts = []
-    all_envs = [(label, p, ROLE_TRAIN) for label, p in cfg.train_params]
-    all_envs.append((cfg.test_params[0], cfg.test_params[1], ROLE_TEST))
-    for label, params, role in all_envs:
-        n = cfg.n_per_env
-        beta2 = cfg.beta2 if params.beta2 is None else params.beta2
-        x1 = params.mu1 + cfg.sigma1 * rng.standard_normal(n)
-        x2 = params.mu2 + cfg.sigma2 * rng.standard_normal(n)
-        noise_y = cfg.sigma * rng.standard_normal(n)
-        y = (params.beta1 * x1 + beta2 * x2 + noise_y > 0).astype(np.int64)
-        gamma = np.where(y == 1, cfg.gamma1, cfg.gamma0)
-        x3 = gamma * x1 + cfg.sigma * rng.standard_normal(n)
+    for label, role, mu2, beta2 in _ANCHOR_ENVS:
+        x1 = rng.standard_normal(n_per_env)
+        x2 = mu2 + rng.standard_normal(n_per_env)
+        noise_y = rng.standard_normal(n_per_env)
+        y = (_ANCHOR_BETA1 * x1 + beta2 * x2 + noise_y > 0).astype(np.int64)
+        gamma = np.where(y == 1, _ANCHOR_GAMMA[1], _ANCHOR_GAMMA[0])
+        x3 = gamma * x1 + rng.standard_normal(n_per_env)
         parts.append((label, role, np.column_stack([x1, x2, x3]), y))
     return _stack(parts, ("x1", "x2", "x3"))
 

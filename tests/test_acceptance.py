@@ -34,7 +34,6 @@ from invarbin import (
     predict_pair,
     random_matching_spec,
     random_violating_spec,
-    reference_anchor_config,
     residual_distribution_test,
     training_subset,
     welch_t_test,
@@ -146,7 +145,7 @@ def test_violating_models_break_cross_env_ratio_equality(capsys):
 
 def test_anchor_pair_choice_changes_test_accuracy(capsys):
     started = time.perf_counter()
-    d = gen_anchor(reference_anchor_config(n_per_env=10_000, seed=0))
+    d = gen_anchor(10_000, 0)
     test = held_out_subset(d)
     base_rate = float(training_subset(d).response.mean())
     accs = {}

@@ -68,12 +68,13 @@ def test_deviance_residuals_reject_degenerate_probs():
         deviance_residuals(np.array([0.0, 0.5]), np.array([0, 1]))
 
 
-def stable_predictor_dataset() -> MultiEnvDataset:
+def stable_predictor_dataset(proxy: bool = False) -> MultiEnvDataset:
     # y depends on x0 through an environment-constant logit; x0 shifts MILDLY
     # across environments (enough to change the class rate and reject the
     # empty set, not enough to disturb the residual law given x0), and x1 is
     # an effect of y whose link changes per environment, failing every set
-    # that contains it
+    # that contains it; with ``proxy`` x1 is instead a near-copy of x0, so
+    # {x0} and {x1} are both invariant
     rng = philox_generator(2, stream=1)
     n = 2500
     shift = {"a": -0.1, "b": 0.1, "t": 0.0}
@@ -82,7 +83,8 @@ def stable_predictor_dataset() -> MultiEnvDataset:
     for label in ("a", "b", "t"):
         x0 = shift[label] + rng.standard_normal(n)
         y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-2.0 * x0))).astype(np.int64)
-        x1 = gain[label] * y + 0.3 * rng.standard_normal(n)
+        noise = rng.standard_normal(n)
+        x1 = x0 + 0.01 * noise if proxy else gain[label] * y + 0.3 * noise
         feats.append(np.column_stack([x0, x1]))
         resp.append(y)
         env_of.extend([label] * n)
@@ -128,6 +130,16 @@ def test_icp_abstains_on_benchmark_shift():
     d = gen_benchmark(cfg)
     fitted = fit_icp(d, max_subset_size=3)
     assert fitted.abstained
+    assert predict_baseline(fitted, held_out_subset(d).features) is None
+
+
+def test_icp_abstains_when_accepted_subsets_share_no_column():
+    d = stable_predictor_dataset(proxy=True)
+    fitted = fit_icp(d, alpha=0.05)
+    assert fitted.accepted == ((0,), (1,), (0, 1))
+    assert fitted.intersection == ()
+    assert fitted.abstained
+    assert fitted.model is None
     assert predict_baseline(fitted, held_out_subset(d).features) is None
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from invarbin import (
     philox_generator,
     predict_bimp,
     predict_pair,
-    reference_anchor_config,
     score_filter,
 )
 from invarbin import test_subset as held_out_subset
@@ -104,7 +104,7 @@ def test_ratio_recovers_gaussian_posterior_exactly():
 
 
 def anchor_data(n=4000, seed=0):
-    return gen_anchor(reference_anchor_config(n_per_env=n, seed=seed))
+    return gen_anchor(n, seed)
 
 
 def test_fit_pair_model_recovers_slopes():
@@ -196,7 +196,7 @@ def test_fit_bimp_bookkeeping_on_anchor():
     assert set(np.unique(prediction.labels)) <= {0, 1}
 
 
-def test_fit_bimp_abstains_when_everything_is_rejected():
+def all_rejected_data():
     # with two training environments a pooled line can always match two
     # class-conditional cluster centers, so total rejection needs three
     # environments whose offset vectors are not collinear
@@ -212,18 +212,31 @@ def test_fit_bimp_abstains_when_everything_is_rejected():
         resp.append(y)
         env_of.extend([label] * n)
         envs.append(Environment(label, ROLE_TEST if label == "t" else ROLE_TRAIN))
-    d = MultiEnvDataset(
+    return MultiEnvDataset(
         features=np.vstack(feats),
         response=np.concatenate(resp),
         env_of=np.asarray(env_of, dtype=object),
         environments=tuple(envs),
         column_names=("x0", "x1"),
     )
+
+
+def test_fit_bimp_abstains_when_everything_is_rejected():
+    d = all_rejected_data()
     model = fit_bimp(d, alpha=0.1)
     assert model.abstained
     assert model.counts["accepted"] == 0
     with pytest.raises(ValidationError):
         predict_bimp(model, held_out_subset(d).features)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("tau", -1.0), ("tau", math.nan), ("eps_den", -1.0)]
+)
+def test_fit_bimp_checks_tau_and_eps_den_when_nothing_is_accepted(name, value):
+    # the screen rejects all four pairs, so no score filter or pair fit runs
+    with pytest.raises(ValidationError, match=name):
+        fit_bimp(all_rejected_data(), alpha=0.1, **{name: value})
 
 
 def test_fit_bimp_requires_test_environment():
@@ -254,6 +267,7 @@ def test_predict_bimp_fallback_rows_use_base_rate():
         alpha=0.1,
         tau=0.1,
         eps_den=1e-6,
+        m=2,
         pair_models=(pm,),
         scores={pm.pair: 0.1},
         threshold=0.11,
@@ -268,6 +282,16 @@ def test_predict_bimp_fallback_rows_use_base_rate():
     assert prediction.probabilities[0] == 0.25
     assert prediction.probabilities[1] == pytest.approx(0.5)
     assert prediction.labels.tolist() == [0, 1]
+
+
+def test_predict_bimp_needs_the_fitted_column_count():
+    d = gen_benchmark(draw_benchmark_config(1, m=4, n_per_env=300))
+    model = fit_bimp(d, max_subset_size=3)
+    assert not model.abstained
+    X = held_out_subset(d).features
+    for other in (X[:, :2], np.column_stack([X, X[:, :1]])):
+        with pytest.raises(ValidationError, match="fitted on 4"):
+            predict_bimp(model, other)
 
 
 def test_bimp_to_dict_serializes():

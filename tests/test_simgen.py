@@ -20,7 +20,6 @@ from invarbin import (
     random_matching_spec,
     random_violating_spec,
     ratio_identity_gap,
-    reference_anchor_config,
     sample_scm,
     scm_dataset,
 )
@@ -38,9 +37,16 @@ def test_philox_streams_are_independent_and_repeatable():
     assert not np.array_equal(a1, b)
 
 
+def test_every_export_resolves():
+    import invarbin
+
+    missing = [name for name in invarbin.__all__ if not hasattr(invarbin, name)]
+    assert missing == []
+    assert len(set(invarbin.__all__)) == len(invarbin.__all__)
+
+
 def test_anchor_dataset_shape_and_roles():
-    cfg = reference_anchor_config(n_per_env=500, seed=1)
-    d = gen_anchor(cfg)
+    d = gen_anchor(500, 1)
     assert d.column_names == ("x1", "x2", "x3")
     assert d.env_sizes() == {"train1": 500, "train2": 500, "test": 500}
     assert d.test_label == "test"
@@ -48,20 +54,24 @@ def test_anchor_dataset_shape_and_roles():
 
 
 def test_anchor_generation_deterministic():
-    cfg = reference_anchor_config(n_per_env=200, seed=9)
-    d1 = gen_anchor(cfg)
-    d2 = gen_anchor(cfg)
+    d1 = gen_anchor(200, 9)
+    d2 = gen_anchor(200, 9)
     assert np.array_equal(d1.features, d2.features)
     assert np.array_equal(d1.response, d2.response)
 
 
 def test_anchor_test_env_drops_second_feature():
-    # in the test environment the x2 coefficient is zero and its mean flips
-    cfg = reference_anchor_config(n_per_env=4000, seed=3)
-    label, params = cfg.test_params
-    assert label == "test"
-    assert params.beta2 == 0.0
-    assert params.mu2 == -1.0
+    # x2 has mean 1 and enters the class rule in training; in the test
+    # environment its mean flips to -1 and its coefficient is zero
+    d = gen_anchor(4000, 3)
+    expected = (("train1", 1.0, True), ("train2", 1.0, True), ("test", -1.0, False))
+    for label, mean, informative in expected:
+        rows = d.env_of == label
+        x = d.features[rows]
+        assert x[:, 1].mean() == pytest.approx(mean, abs=0.1)
+        design = np.column_stack([np.ones(len(x)), x[:, 0], x[:, 1]])
+        coef = np.linalg.lstsq(design, d.response[rows], rcond=None)[0]
+        assert coef[2] > 0.1 if informative else abs(coef[2]) < 0.02
 
 
 def test_benchmark_config_ranges():
