@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import invarbin
 from invarbin import (
     AdditiveMechanism,
     CptVariable,
@@ -38,8 +39,6 @@ def test_philox_streams_are_independent_and_repeatable():
 
 
 def test_every_export_resolves():
-    import invarbin
-
     missing = [name for name in invarbin.__all__ if not hasattr(invarbin, name)]
     assert missing == []
     assert len(set(invarbin.__all__)) == len(invarbin.__all__)
