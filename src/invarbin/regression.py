@@ -6,10 +6,11 @@ an explicit intercept, and are deterministic.  OLS is solved by SVD
 design is rank deficient.  The additive model expands each column in a
 natural cubic spline basis and solves a ridge problem with the intercept
 left unpenalized, so it extrapolates linearly outside the training range.
-The logistic fit is a damped Newton iteration with step halving.  OLS and
-the additive model are the one-target case of :func:`ols_columns` and
-:func:`spline_columns`, which fit several targets on the same regressors
-with one solve.
+The logistic fit is a damped Newton iteration with step halving; it stops
+at a small gradient, or once a step can no longer move the coefficients.
+OLS and the additive model are the one-target case of :func:`ols_columns`
+and :func:`spline_columns`, which fit several targets on the same
+regressors with one solve.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ _SPLINE_LAMBDA = 1e-3
 _LOGISTIC_MAX_ITER = 100
 _LOGISTIC_TOL = 1e-8
 _MAX_HALVINGS = 20
+_EPS = float(np.finfo(float).eps)
 _PROB_CLIP = 1e-12
 
 
@@ -90,9 +92,12 @@ class AdditiveSplineModel:
 class LogisticModel:
     """Logistic predictor P(y=1|x) = sigmoid(coef[0] + x @ coef[1:]).
 
-    ``converged`` is False when the iteration hit its cap with the gradient
-    still large, the signature of (quasi-)separated data; the coefficients
-    are still usable for prediction in that case.
+    ``converged`` is True when the fit is at the optimum to working
+    precision: the gradient norm fell below 1e-8, or the last Newton step
+    could not move the coefficients while its Newton decrement was at the
+    rounding floor of the log-likelihood.  It is False when the iteration
+    hit its cap, the signature of (quasi-)separated data, or stalled short
+    of that floor; the coefficients are still usable for prediction then.
     """
 
     coef: tuple[float, ...]
@@ -304,9 +309,16 @@ def fit_logistic(X, y) -> LogisticModel:
 
     Each Newton step is halved (at most 20 times) until the log-likelihood
     does not decrease, so the recorded loss path is non-increasing.  Stops
-    when the gradient norm falls below 1e-8; on (quasi-)separated data the
-    iteration runs to its cap of 100 steps and the model is flagged as not
-    converged.  Both classes must be present.
+    when the gradient norm falls below 1e-8, or when a step can no longer
+    move the coefficients: every trial point lowers the log-likelihood, or
+    the accepted one equals the current point bit for bit (every later step
+    would repeat it).  A fit stopped that way is converged when the step's
+    Newton decrement, half of grad @ step, is at the rounding floor of the
+    log-likelihood (at most machine epsilon times max(1, |log-likelihood|)).
+    On (quasi-)separated data the iteration runs to its cap of 100 steps and
+    the model is flagged as not converged.  ``n_iter`` counts the Newton
+    steps taken, including a last one that could not move the coefficients.
+    Both classes must be present.
     """
     X, y = _check_design(X, y)
     classes = np.unique(y)
@@ -335,16 +347,17 @@ def fit_logistic(X, y) -> LogisticModel:
         except np.linalg.LinAlgError:
             step, _, _, _ = np.linalg.lstsq(hess, grad, rcond=None)
         scale = 1.0
-        improved = False
         for _ in range(_MAX_HALVINGS + 1):
             w_new = w + scale * step
             z_new = design @ w_new
             ll_new = _log_likelihood(z_new, y)
             if ll_new >= ll:
-                improved = True
                 break
             scale *= 0.5
-        if not improved:
+        else:
+            w_new = w  # every trial point lowered the log-likelihood
+        if np.array_equal(w_new, w):
+            converged = bool(grad @ step / 2.0 <= _EPS * max(1.0, abs(ll)))
             break
         w, z, ll = w_new, z_new, ll_new
         losses.append(-ll)

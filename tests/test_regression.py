@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,12 +10,15 @@ from invarbin import (
     LinearModel,
     LogisticModel,
     ValidationError,
+    draw_benchmark_config,
     fit_logistic,
     fit_ols,
     fit_spline_additive,
+    gen_benchmark,
     model_from_dict,
     model_to_dict,
     predict,
+    training_subset,
 )
 from invarbin.regression import (
     _sigmoid,
@@ -201,6 +205,41 @@ _LINE = np.linspace(-1, 1, 50)
 def test_logistic_iteration_counts_are_pinned(X, y, expected):
     model = fit_logistic(X, y)
     assert (model.converged, model.n_iter, len(model.loss_path)) == expected
+
+
+def _large_n_training(seed, cols):
+    """Pooled training rows of a large-n benchmark sample (16,000 rows)."""
+    cfg = dataclasses.replace(draw_benchmark_config(2, m=7, n_per_env=8000), seed=seed)
+    train = training_subset(gen_benchmark(cfg))
+    return train.features[:, list(cols)], train.response
+
+
+# Where the iteration sat after its cap of 100 steps on the sample below: it
+# reaches the optimum at step 4 with a gradient norm of 1.2e-8, which rounding
+# kept from falling under the 1e-8 tolerance.  That gradient leaves each
+# coefficient up to 8.5e-12 relative from the point where the gradient norm
+# is 3e-13, so the loss cannot tell these digits apart below about 1e-11.
+_FLOOR_COEF = (
+    0.017317256798183203,
+    0.18822314712590735,
+    0.15140858354983097,
+    -0.049815867349025544,
+    0.2102838367938313,
+    0.036463151004988155,
+)
+
+
+def test_logistic_stops_when_a_step_cannot_move_the_coefficients():
+    model = fit_logistic(*_large_n_training(72000, (0, 1, 2, 3, 5)))
+    assert model.converged
+    assert model.n_iter <= 10
+    assert np.asarray(model.coef) == pytest.approx(_FLOOR_COEF, rel=1e-11, abs=0.0)
+
+
+def test_logistic_failed_line_search_at_the_floor_is_converged():
+    # all 21 trial points of step 21 lower the log-likelihood
+    model = fit_logistic(*_large_n_training(7000, (1, 4)))
+    assert model.converged
 
 
 def test_logistic_prediction_clipped():
