@@ -293,15 +293,21 @@ def fit_spline_additive(
     return spline_columns(X, y[:, None], n_knots=n_knots, lam=lam)[0].model(0)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) never overflows; both branches are finite for every z
+def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    # e = exp(-|z|) never overflows; both branches are finite for every z
+    if e is None:
+        e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _log_likelihood(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Bernoulli log-likelihood of logits z, and exp(-|z|) for :func:`_sigmoid`.
+
+    log(1 + e^z) is written as max(z, 0) + log1p(e^-|z|), which is stable
+    for every z and shares its one exponential with the sigmoid.
+    """
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _log_likelihood(z: np.ndarray, y: np.ndarray) -> float:
-    # log sigma(z) for y=1 and log(1-sigma(z)) for y=0, in one stable pass
-    return float(np.sum(y * z - np.logaddexp(0.0, z)))
+    return float(np.sum(y * z - (np.maximum(z, 0.0) + np.log1p(e)))), e
 
 
 def fit_logistic(X, y) -> LogisticModel:
@@ -332,10 +338,10 @@ def fit_logistic(X, y) -> LogisticModel:
     q = design.shape[1]
     w = np.zeros(q)
     z = design @ w
-    ll = _log_likelihood(z, y)
+    ll, e = _log_likelihood(z, y)
     losses = [-ll]
     it = 0
-    p = _sigmoid(z)
+    p = _sigmoid(z, e)
     grad = design.T @ (y - p)
     converged = bool(np.linalg.norm(grad) < _LOGISTIC_TOL)
     while not converged and it < _LOGISTIC_MAX_ITER:
@@ -350,7 +356,7 @@ def fit_logistic(X, y) -> LogisticModel:
         for _ in range(_MAX_HALVINGS + 1):
             w_new = w + scale * step
             z_new = design @ w_new
-            ll_new = _log_likelihood(z_new, y)
+            ll_new, e_new = _log_likelihood(z_new, y)
             if ll_new >= ll:
                 break
             scale *= 0.5
@@ -359,10 +365,10 @@ def fit_logistic(X, y) -> LogisticModel:
         if np.array_equal(w_new, w):
             converged = bool(grad @ step / 2.0 <= _EPS * max(1.0, abs(ll)))
             break
-        w, z, ll = w_new, z_new, ll_new
+        w, z, ll, e = w_new, z_new, ll_new, e_new
         losses.append(-ll)
         # the next step starts from this sigmoid and gradient
-        p = _sigmoid(z)
+        p = _sigmoid(z, e)
         grad = design.T @ (y - p)
         converged = bool(np.linalg.norm(grad) < _LOGISTIC_TOL)
     return LogisticModel(

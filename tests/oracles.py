@@ -6,6 +6,8 @@ numpy's ``lstsq`` and scipy's Welch test, sharing no code with
 the census one-hot benchmark.  ``incomplete_beta`` and ``t_two_sided_p``
 are the scalar modified-Lentz recurrence, one value at a time in Python
 floats, that the array kernel in ``invarbin.stats`` must match bit for bit.
+``log_likelihood`` is the Bernoulli log-likelihood through
+``numpy.logaddexp``, against which the logistic fit's fused form is checked.
 """
 
 import math
@@ -84,6 +86,11 @@ def t_two_sided_p(t: float, df: float) -> float:
     if math.isinf(t):
         return 0.0
     return incomplete_beta(0.5 * df, 0.5, df / (df + t * t))
+
+
+def log_likelihood(z, y) -> float:
+    """sum(y * z - log(1 + e^z)): log sigma(z) for y = 1, log(1 - sigma(z)) for y = 0."""
+    return float(np.sum(y * z - np.logaddexp(0.0, z)))
 
 
 def screen_oracle(d, pairs, alpha=0.1):

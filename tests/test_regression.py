@@ -21,12 +21,14 @@ from invarbin import (
     training_subset,
 )
 from invarbin.regression import (
+    _log_likelihood,
     _sigmoid,
     _spline_plan,
     _spline_solve,
     ols_columns,
     spline_columns,
 )
+from oracles import log_likelihood
 
 
 def normal_equations(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -207,6 +209,24 @@ def test_logistic_iteration_counts_are_pinned(X, y, expected):
     assert (model.converged, model.n_iter, len(model.loss_path)) == expected
 
 
+def test_logistic_optimum_matches_scipy_bfgs():
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    scipy_special = pytest.importorskip("scipy.special")
+    X, y = _converging_logistic_data()
+    design = np.column_stack([np.ones(len(X)), X])
+
+    def loss_and_grad(w):
+        z = design @ w
+        return -log_likelihood(z, y), -design.T @ (y - scipy_special.expit(z))
+
+    ref = scipy_optimize.minimize(
+        loss_and_grad, np.zeros(design.shape[1]), jac=True, method="BFGS",
+        options={"gtol": 1e-10},
+    )
+    model = fit_logistic(X, y)
+    assert np.max(np.abs(np.asarray(model.coef) - ref.x)) < 1e-6
+
+
 def _large_n_training(seed, cols):
     """Pooled training rows of a large-n benchmark sample (16,000 rows)."""
     cfg = dataclasses.replace(draw_benchmark_config(2, m=7, n_per_env=8000), seed=seed)
@@ -317,6 +337,16 @@ def test_sigmoid_matches_two_branch_formula_bitwise():
         warnings.simplefilter("error", RuntimeWarning)
         got = _sigmoid(z)
     assert got.tobytes() == two_branch_sigmoid(z).tobytes()
+
+
+def test_log_likelihood_matches_logaddexp_oracle():
+    edges = np.array([0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0, 1e6, -1e6])
+    grid = np.concatenate([edges, np.linspace(-40.0, 40.0, 801)])
+    for z in [*edges[:, None], grid]:
+        for y in (np.zeros_like(z), np.ones_like(z), np.arange(z.size) % 2.0):
+            got, _ = _log_likelihood(z, y)
+            want = log_likelihood(z, y)
+            assert abs(got - want) <= 4 * np.spacing(abs(want))
 
 
 def test_planned_spline_solve_matches_spline_columns_bitwise():
