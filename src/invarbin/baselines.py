@@ -46,7 +46,8 @@ class IcpResult:
     ``accepted`` lists the subsets (as column-index tuples) that passed;
     ``intersection`` is their common part and ``model`` the final logistic
     fit on it, or None when the search abstained.  ``pvals`` maps each
-    tested subset to its combined p-value.
+    tested subset to its combined p-value; ``m`` is the number of feature
+    columns the search ran on.
     """
 
     accepted: tuple[tuple[int, ...], ...]
@@ -55,6 +56,7 @@ class IcpResult:
     abstained: bool
     alpha: float
     pvals: Mapping[tuple[int, ...], float]
+    m: int
 
 
 def fit_icp(
@@ -109,6 +111,7 @@ def fit_icp(
         abstained=not intersection,
         alpha=alpha,
         pvals=pvals,
+        m=d.m,
     )
 
 
@@ -116,12 +119,17 @@ def predict_baseline(fitted, X) -> np.ndarray | None:
     """Hard labels from a baseline fit; None when the fit abstained.
 
     Accepts a LogisticModel (thresholds its probabilities at 1/2, ties to
-    class 1) or an IcpResult (predicts on the intersection columns).
+    class 1) or an IcpResult (predicts on the intersection columns).  X
+    must have as many columns as the data the model was fitted on.
     """
     X = np.asarray(X, dtype=float)
     if isinstance(fitted, LogisticModel):
         return (predict(fitted, X) >= 0.5).astype(np.int64)
     if isinstance(fitted, IcpResult):
+        if X.ndim != 2 or X.shape[1] != fitted.m:
+            raise ValidationError(
+                f"X has shape {X.shape}; the search was fitted on {fitted.m} columns"
+            )
         if fitted.abstained:
             return None
         cols = list(fitted.intersection)

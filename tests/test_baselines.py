@@ -108,6 +108,15 @@ def test_icp_accepts_stable_predictor_and_uses_it():
     assert float((labels == held_out_subset(d).response).mean()) > 0.75
 
 
+@pytest.mark.parametrize("width", [0, 4])
+def test_icp_prediction_rejects_another_width(width):
+    d = stable_predictor_dataset()
+    fitted = fit_icp(d, alpha=0.05)
+    assert fitted.intersection == (0,)
+    with pytest.raises(ValidationError, match="fitted on 2 columns"):
+        predict_baseline(fitted, np.zeros((5, width)))
+
+
 def test_icp_reuses_the_intersection_fit(monkeypatch):
     d = stable_predictor_dataset()
     calls = []
