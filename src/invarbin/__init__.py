@@ -29,8 +29,6 @@ from .data import (
     ROLE_TRAIN,
     encode_table,
     feature_groups,
-    load_csv,
-    sniff_encoding_spec,
     sniff_table,
     test_subset,
     training_subset,
@@ -38,8 +36,6 @@ from .data import (
 from .stats import (
     TTestResult,
     bonferroni_combine,
-    normal_cdf,
-    regularized_incomplete_beta,
     student_t_two_sided_p,
     welch_t_test,
 )
@@ -50,7 +46,6 @@ from .regression import (
     fit_logistic,
     fit_ols,
     fit_spline_additive,
-    model_from_dict,
     model_to_dict,
     predict,
 )
@@ -70,7 +65,6 @@ from .bimp import (
     ScoreFilterResult,
     VARIANT_GAM,
     VARIANT_LINEAR,
-    bimp_ratio,
     bimp_to_dict,
     enumerate_pairs,
     fit_bimp,
@@ -136,12 +130,8 @@ __all__ = [
     "test_subset",
     "feature_groups",
     "encode_table",
-    "load_csv",
     "sniff_table",
-    "sniff_encoding_spec",
     # stats
-    "normal_cdf",
-    "regularized_incomplete_beta",
     "student_t_two_sided_p",
     "TTestResult",
     "welch_t_test",
@@ -155,7 +145,6 @@ __all__ = [
     "fit_logistic",
     "predict",
     "model_to_dict",
-    "model_from_dict",
     # invariance
     "Pair",
     "InvarianceReport",
@@ -167,7 +156,6 @@ __all__ = [
     # bimp
     "VARIANT_LINEAR",
     "VARIANT_GAM",
-    "bimp_ratio",
     "enumerate_pairs",
     "PairModel",
     "fit_pair_model",

@@ -74,21 +74,6 @@ def _matching_ratio(marginal, h0, h1, eps) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(ratio, 0.0, 1.0), degenerate
 
 
-def bimp_ratio(marginal: float, h0: float, h1: float, eps_den: float) -> float | None:
-    """Scalar matching ratio, clamped to [0, 1]; None when degenerate.
-
-    ``eps_den`` is the absolute tolerance below which the denominator
-    h1 - h0 counts as vanished.
-    """
-    for name, v in (("marginal", marginal), ("h0", h0), ("h1", h1)):
-        if not math.isfinite(v):
-            raise ValidationError(f"{name} must be finite, got {v!r}")
-    if not (math.isfinite(eps_den) and eps_den >= 0.0):
-        raise ValidationError(f"eps_den must be a non-negative float, got {eps_den!r}")
-    prob, degenerate = _matching_ratio(marginal, h0, h1, eps_den)
-    return None if degenerate else float(prob)
-
-
 def _as_groups(m: int, groups: Sequence[Sequence[int]] | None) -> tuple[tuple[int, ...], ...]:
     if groups is None:
         return tuple((j,) for j in range(m))
@@ -141,7 +126,8 @@ class PairModel:
     conditioning columns within each class; ``marginal`` is the fit of k on
     the conditioning columns over the target environment's features (least
     squares or additive splines, per ``variant``).  ``eps_abs`` is the
-    realized absolute degeneracy tolerance.
+    realized absolute degeneracy tolerance.  ``m`` is the column count of
+    the fitted dataset; predictions need the same width.
     """
 
     pair: Pair
@@ -150,6 +136,7 @@ class PairModel:
     marginal: object
     eps_abs: float
     variant: str
+    m: int
 
 
 def _check_variant(variant: str) -> None:
@@ -299,6 +286,7 @@ def fit_pair_model(
         marginal=group.marginal.model(j),
         eps_abs=eps_abs,
         variant=variant,
+        m=d.m,
     )
 
 
@@ -317,8 +305,11 @@ def predict_pair(model: PairModel, X) -> tuple[np.ndarray, np.ndarray]:
 
     Degenerate rows carry NaN in the first array and True in the second.
     Raises when every row is degenerate, since the pair then says nothing.
+    ``X`` must have the fitted column count.
     """
     X = _check_design(X)
+    if X.shape[1] != model.m:
+        raise ValidationError(f"X has {X.shape[1]} columns; the pair was fitted on {model.m}")
     probs, degenerate = _pair_values(model, X)
     if X.shape[0] and bool(np.all(degenerate)):
         raise DegeneratePairError(f"all {X.shape[0]} rows are degenerate for pair {model.pair}")

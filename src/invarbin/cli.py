@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -40,15 +41,10 @@ from .data import (
     _read_csv,
 )
 from .errors import InvarbinError, ValidationError
-from .evaluation import RunSummary, accuracy, aggregate_replicates, mse
+from .evaluation import MethodAggregate, RunSummary, accuracy, aggregate_replicates, mse
 from .invariance import SCOPE_ENV, SCOPE_ENV_AND_CLASS, Pair, report_to_dict
 from .regression import predict
-from .simgen import (
-    BenchmarkConfig,
-    draw_benchmark_config,
-    gen_anchor,
-    gen_benchmark,
-)
+from .simgen import draw_benchmark_config, gen_anchor, gen_benchmark
 
 METHODS = ("bimp-linear", "bimp-gam", "lr", "icp")
 
@@ -130,6 +126,11 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _write_records(path: str, cls, records) -> None:
+    """One row per dataclass instance, with the class's fields as the header."""
+    _write_csv(path, [f.name for f in fields(cls)], [astuple(r) for r in records])
 
 
 def _write_json(path: str, payload) -> None:
@@ -329,16 +330,6 @@ def _run_method(method: str, d: MultiEnvDataset, args, cap=None, replicate: int 
     return result
 
 
-def _summary_rows(summaries: list[RunSummary]) -> list[list]:
-    return [
-        [s.method, s.replicate, s.accuracy, s.mse, s.abstained, s.n_pairs, s.seconds]
-        for s in summaries
-    ]
-
-
-_SUMMARY_HEADER = ["method", "replicate", "accuracy", "mse", "abstained", "n_pairs", "seconds"]
-
-
 def _write_predictions(path: str, result: dict) -> None:
     rows = []
     if not result["abstained"]:
@@ -358,19 +349,6 @@ def _write_predictions(path: str, result: dict) -> None:
 
 
 # -- simulate -----------------------------------------------------------------
-
-
-def _config_payload(cfg: BenchmarkConfig) -> dict:
-    return {
-        "m": cfg.m,
-        "mu": {label: list(v) for label, v in cfg.mu.items()},
-        "beta": {label: list(v) for label, v in cfg.beta.items()},
-        "eta0": list(cfg.eta0),
-        "eta1": list(cfg.eta1),
-        "test_label": cfg.test_label,
-        "n_per_env": cfg.n_per_env,
-        "seed": cfg.seed,
-    }
 
 
 def _write_env_csvs(d: MultiEnvDataset, out: str, prefix: str) -> list[str]:
@@ -396,7 +374,7 @@ def cmd_simulate(args) -> int:
         files = _write_env_csvs(d, args.out, prefix)
         manifest = {
             "replicate": r,
-            "config": _config_payload(cfg),
+            "config": asdict(cfg),
             "files": [os.path.basename(f) for f in files],
             "columns": list(d.column_names),
         }
@@ -452,7 +430,7 @@ def cmd_fit_predict(args) -> int:
             )
         status = "abstained" if result["abstained"] else f"acc={result['summary'].accuracy:.4f}"
         print(f"{method}: {status}")
-    _write_csv(os.path.join(args.out, "summary.csv"), _SUMMARY_HEADER, _summary_rows(summaries))
+    _write_records(os.path.join(args.out, "summary.csv"), RunSummary, summaries)
     return 0
 
 
@@ -514,42 +492,9 @@ def cmd_reproduce_fig2(args) -> int:
             _run_method(method, d, args, cap=cfg.m - 1, replicate=r)["summary"]
             for method in METHODS
         )
-    _write_csv(
-        os.path.join(args.out, "fig2_replicates.csv"),
-        _SUMMARY_HEADER,
-        _summary_rows(summaries),
-    )
+    _write_records(os.path.join(args.out, "fig2_replicates.csv"), RunSummary, summaries)
     aggregates = aggregate_replicates(summaries)
-    _write_csv(
-        os.path.join(args.out, "fig2_summary.csv"),
-        [
-            "method",
-            "n_replicates",
-            "n_abstained",
-            "abstention_rate",
-            "acc_median",
-            "acc_q1",
-            "acc_q3",
-            "mse_median",
-            "mse_q1",
-            "mse_q3",
-        ],
-        [
-            [
-                a.method,
-                a.n_replicates,
-                a.n_abstained,
-                a.abstention_rate,
-                a.acc_median,
-                a.acc_q1,
-                a.acc_q3,
-                a.mse_median,
-                a.mse_q1,
-                a.mse_q3,
-            ]
-            for a in aggregates
-        ],
-    )
+    _write_records(os.path.join(args.out, "fig2_summary.csv"), MethodAggregate, aggregates)
     if args.svg:
         boxes = []
         for method in METHODS:

@@ -412,12 +412,6 @@ def _read_csv(path: str):
     return header, rows
 
 
-def load_csv(path: str, spec: EncodingSpec) -> MultiEnvDataset:
-    """Read a CSV file and encode it under ``spec``."""
-    header, rows = _read_csv(path)
-    return encode_table(header, rows, spec)
-
-
 def sniff_table(
     header: list[str],
     rows: list[tuple[int, list[str]]],
@@ -505,23 +499,4 @@ def sniff_table(
         response_map=dict(response_map),
         env_column=env_column,
         env_map=env_map,
-    )
-
-
-def sniff_encoding_spec(
-    path: str,
-    env_column: str,
-    response_column: str,
-    test_env: str | None = None,
-    response_map: Mapping[str, int] | None = None,
-) -> EncodingSpec:
-    """File-reading wrapper around :func:`sniff_table`."""
-    header, rows = _read_csv(path)
-    return sniff_table(
-        header,
-        rows,
-        env_column=env_column,
-        response_column=response_column,
-        test_env=test_env,
-        response_map=response_map,
     )

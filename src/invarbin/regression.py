@@ -409,7 +409,7 @@ def predict(model, X) -> np.ndarray:
 
 
 def model_to_dict(model) -> dict:
-    """JSON-ready description of any fitted model."""
+    """JSON-ready description of a fitted linear or spline model."""
     if isinstance(model, LinearModel):
         return {"type": "linear", "coef": list(model.coef)}
     if isinstance(model, AdditiveSplineModel):
@@ -422,35 +422,4 @@ def model_to_dict(model) -> dict:
                 for t in model.terms
             ],
         }
-    if isinstance(model, LogisticModel):
-        return {
-            "type": "logistic",
-            "coef": list(model.coef),
-            "converged": model.converged,
-            "n_iter": model.n_iter,
-        }
     raise ValidationError(f"unknown model type: {type(model).__name__}")
-
-
-def model_from_dict(payload: dict):
-    """Inverse of :func:`model_to_dict`."""
-    kind = payload.get("type")
-    if kind == "linear":
-        return LinearModel(coef=tuple(payload["coef"]))
-    if kind == "spline":
-        return AdditiveSplineModel(
-            intercept=payload["intercept"],
-            lam=payload["lam"],
-            terms=tuple(
-                SplineTerm(kind=t["kind"], knots=tuple(t["knots"]), coef=tuple(t["coef"]))
-                for t in payload["terms"]
-            ),
-        )
-    if kind == "logistic":
-        return LogisticModel(
-            coef=tuple(payload["coef"]),
-            converged=payload["converged"],
-            n_iter=payload["n_iter"],
-            loss_path=(),
-        )
-    raise ValidationError(f"unknown model payload type: {kind!r}")

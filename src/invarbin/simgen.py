@@ -16,8 +16,7 @@ probability at every support point.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -394,7 +393,6 @@ class DiscreteOracle:
             raise SupportSizeError(
                 f"joint support would hold {atoms} atoms (limit {_MAX_ATOMS})"
             )
-        self.atom_count = atoms
         self._joint = {env: self._build_joint(env) for env in spec.envs}
         self._s_tables: dict[str, dict] = {}
 

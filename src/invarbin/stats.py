@@ -1,13 +1,13 @@
-"""Statistics: normal CDF, Welch's t-test, Bonferroni.
+"""Statistics: the Student-t tail, Welch's t-test, Bonferroni.
 
 The Student-t tail probability is computed through the regularized
 incomplete beta function, evaluated with a modified Lentz continued fraction
 driven to a 1e-10 convergence target, which is more than enough headroom
 for the 1e-6 agreement the test suite demands.  The continued fraction runs
-on arrays (:func:`student_t_tail`); the scalar functions are its one-value
-case.  Welch's test is split in two: :func:`welch_moments` turns each
-side's row count, means and variances into (t, df) for many columns at
-once, and the tail is taken afterwards, so a caller running many tests
+on arrays (:func:`student_t_tail`).  Welch's test is split in two:
+:func:`welch_moments` turns each side's row count, means and variances
+into (t, df) for many columns at once, and the tail is taken afterwards,
+so a caller running many tests
 (the residual screen, ICP's subset loop) makes one tail call for all of
 them.  :func:`welch_columns` feeds the kernel the sample moments of two
 blocks of observations; the residual screen feeds it moments computed from
@@ -26,17 +26,6 @@ from .errors import InsufficientDataError, ValidationError
 _BETAINC_TOL = 1e-10
 _BETAINC_MAX_ITER = 500
 _TINY = 1e-300
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x).
-
-    Uses erfc for full relative accuracy in both tails; absolute error is at
-    the level of float rounding.  Non-finite input is rejected.
-    """
-    if not math.isfinite(x):
-        raise ValidationError(f"normal_cdf requires finite x, got {x!r}")
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def _clamp(v: np.ndarray) -> np.ndarray:
@@ -122,11 +111,6 @@ def _incomplete_beta(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     )
     result[inner] = np.where(low, front * cf / a, 1.0 - front * cf / b)
     return result
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    return float(_incomplete_beta(*(np.array([v], dtype=float) for v in (a, b, x)))[0])
 
 
 def student_t_tail(t, df) -> np.ndarray:

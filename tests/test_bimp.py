@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from invarbin import (
     BimpModel,
@@ -17,7 +18,6 @@ from invarbin import (
     ROLE_TEST,
     ROLE_TRAIN,
     ValidationError,
-    bimp_ratio,
     bimp_to_dict,
     draw_benchmark_config,
     enumerate_pairs,
@@ -25,13 +25,13 @@ from invarbin import (
     fit_pair_model,
     gen_anchor,
     gen_benchmark,
-    normal_cdf,
     philox_generator,
     predict_bimp,
     predict_pair,
     score_filter,
 )
 from invarbin import test_subset as held_out_subset
+from invarbin.bimp import _matching_ratio
 
 
 def test_enumerate_counts_default_cap():
@@ -76,18 +76,16 @@ def test_enumerate_rejects_partial_cover():
 
 
 def test_ratio_basic_cases():
-    assert bimp_ratio(0.5, 0.0, 1.0, 1e-9) == 0.5
-    assert bimp_ratio(2.0, 0.0, 1.0, 1e-9) == 1.0  # clamped above
-    assert bimp_ratio(-1.0, 0.0, 1.0, 1e-9) == 0.0  # clamped below
-    assert bimp_ratio(0.3, 1.0, 1.0, 1e-9) is None  # vanished denominator
-    assert bimp_ratio(0.3, 1.0, 1.0 + 5e-10, 1e-9) is None  # inside tolerance
-
-
-def test_ratio_validates_inputs():
-    with pytest.raises(ValidationError):
-        bimp_ratio(float("nan"), 0.0, 1.0, 1e-9)
-    with pytest.raises(ValidationError):
-        bimp_ratio(0.5, 0.0, 1.0, -1.0)
+    probs, degenerate = _matching_ratio(
+        np.array([0.5, 2.0, -1.0, 0.3, 0.3]),
+        np.array([0.0, 0.0, 0.0, 1.0, 1.0]),
+        # the last two denominators vanish: exactly, and inside the tolerance
+        np.array([1.0, 1.0, 1.0, 1.0, 1.0 + 5e-10]),
+        1e-9,
+    )
+    assert probs[:3].tolist() == [0.5, 1.0, 0.0]  # plain, clamped above, clamped below
+    assert degenerate.tolist() == [False, False, False, True, True]
+    assert np.isnan(probs[3:]).all()
 
 
 def test_ratio_recovers_gaussian_posterior_exactly():
@@ -96,11 +94,12 @@ def test_ratio_recovers_gaussian_posterior_exactly():
     # must return p identically wherever (g1 - g0)*x1 is away from zero
     rng = philox_generator(0, stream=2)
     g0, g1 = 1.0, 3.0
-    for x1 in rng.uniform(0.2, 3.0, size=100) * rng.choice([-1.0, 1.0], size=100):
-        p = normal_cdf(2.0 * x1)
-        marginal = g0 * x1 * (1.0 - p) + g1 * x1 * p
-        got = bimp_ratio(marginal, g0 * x1, g1 * x1, 1e-12)
-        assert got == pytest.approx(p, abs=1e-12)
+    x1 = rng.uniform(0.2, 3.0, size=100) * rng.choice([-1.0, 1.0], size=100)
+    p = norm.cdf(2.0 * x1)
+    marginal = g0 * x1 * (1.0 - p) + g1 * x1 * p
+    got, degenerate = _matching_ratio(marginal, g0 * x1, g1 * x1, 1e-12)
+    assert not degenerate.any()
+    np.testing.assert_allclose(got, p, rtol=0, atol=1e-12)
 
 
 def anchor_data(n=4000, seed=0):
@@ -126,6 +125,14 @@ def test_predict_pair_probabilities_in_range():
     assert np.all(np.isnan(probs[degenerate]))
 
 
+@pytest.mark.parametrize("width", [2, 5])
+def test_predict_pair_rejects_another_width(width):
+    d = gen_benchmark(draw_benchmark_config(1, m=4, n_per_env=300))
+    model = fit_pair_model(d, Pair(k=3, s=(0, 2)))
+    with pytest.raises(ValidationError, match="fitted on 4"):
+        predict_pair(model, np.ones((5, width)))
+
+
 def test_pair_model_single_class_training_raises():
     d = anchor_data(n=500)
     forced = MultiEnvDataset(
@@ -147,6 +154,7 @@ def test_predict_pair_all_degenerate_raises():
         marginal=LinearModel(coef=(0.0, 1.0)),
         eps_abs=1e-9,
         variant="linear",
+        m=2,
     )
     with pytest.raises(DegeneratePairError):
         predict_pair(model, np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -261,6 +269,7 @@ def test_predict_bimp_fallback_rows_use_base_rate():
         marginal=LinearModel(coef=(0.0, 0.5)),
         eps_abs=1e-6,
         variant="linear",
+        m=2,
     )
     model = BimpModel(
         variant="linear",

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from invarbin import cli
+from invarbin import cli, sniff_table
 from invarbin.cli import main
+from invarbin.data import _read_csv
 
 
 def read_tree(root: str) -> dict[str, bytes]:
@@ -99,6 +100,40 @@ def test_fit_predict_rerun_is_byte_identical(simulated, tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert read_tree(str(a)) == read_tree(str(b))
+
+
+def sniffed_spec(paths):
+    """The spec fit-predict sniffs from these files when given no --schema."""
+    rows = []
+    for path in paths:
+        header, file_rows = _read_csv(path)
+        rows += file_rows
+    return sniff_table(header, rows, env_column="env", response_column="y", test_env="test")
+
+
+def test_fit_predict_with_the_sniffed_schema_is_byte_identical(simulated, tmp_path, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text(sniffed_spec(simulated).to_json(), encoding="utf-8")
+    args = ["fit-predict", "--data", *simulated, "--methods", ",".join(cli.METHODS),
+            "--max-subset-size", "2"]
+    assert main(args + ["--out", str(tmp_path / "sniffed")]) == 0
+    sniffed_stdout = capsys.readouterr().out
+    assert main(args + ["--out", str(tmp_path / "given"), "--schema", str(schema)]) == 0
+    assert capsys.readouterr().out == sniffed_stdout
+    files = read_tree(str(tmp_path / "given"))
+    assert len(files) == 1 + 4 + 2 * 2  # summary, predictions, bimp ensembles and reports
+    assert files == read_tree(str(tmp_path / "sniffed"))
+
+
+def test_fit_predict_schema_with_an_unknown_kind_exits_one(simulated, tmp_path, capsys):
+    payload = json.loads(sniffed_spec(simulated).to_json())
+    payload["kinds"]["x1"] = "ordinal"
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps(payload), encoding="utf-8")
+    code = main(["fit-predict", "--data", *simulated, "--out", str(tmp_path / "o"),
+                 "--schema", str(schema)])
+    assert code == 1
+    assert "unknown kind 'ordinal'" in capsys.readouterr().err
 
 
 def test_fit_predict_bimp_gam_writes_its_predictions(simulated, tmp_path):

@@ -14,12 +14,11 @@ from invarbin import (
     ValidationError,
     encode_table,
     feature_groups,
-    load_csv,
-    sniff_encoding_spec,
     sniff_table,
     training_subset,
 )
 from invarbin import test_subset as held_out_subset
+from invarbin.data import _read_csv
 
 
 def small_dataset() -> MultiEnvDataset:
@@ -347,16 +346,17 @@ def test_load_csv_round_trip(tmp_path):
         "0.5,red,yes,hold\n",
         encoding="utf-8",
     )
-    d1 = load_csv(str(path), SPEC)
-    d2 = load_csv(str(path), SPEC)
+    d1 = encode_table(*_read_csv(str(path)), SPEC)
+    d2 = encode_table(*_read_csv(str(path)), SPEC)
     assert np.array_equal(d1.features, d2.features)
     assert np.array_equal(d1.response, d2.response)
     assert d1.column_names == d2.column_names
 
-    sniffed = sniff_encoding_spec(
-        str(path), env_column="env", response_column="label", test_env="hold"
+    header, table = _read_csv(str(path))
+    sniffed = sniff_table(
+        header, table, env_column="env", response_column="label", test_env="hold"
     )
-    d3 = load_csv(str(path), sniffed)
+    d3 = encode_table(header, table, sniffed)
     assert d3.n == 3
 
 
@@ -364,4 +364,4 @@ def test_load_csv_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
     with pytest.raises(CsvParseError):
-        load_csv(str(path), SPEC)
+        _read_csv(str(path))
