@@ -366,6 +366,8 @@ def _write_env_csvs(d: MultiEnvDataset, out: str, prefix: str) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
+    if args.replicates < 1:
+        raise ValidationError(f"--replicates must be at least 1, got {args.replicates}")
     os.makedirs(args.out, exist_ok=True)
     for r in range(args.replicates):
         cfg = draw_benchmark_config(args.seed + r, m=args.m, n_per_env=args.n_per_env)
@@ -483,6 +485,8 @@ def cmd_reproduce_fig1(args) -> int:
 
 
 def cmd_reproduce_fig2(args) -> int:
+    if args.replicates < 1:
+        raise ValidationError(f"--replicates must be at least 1, got {args.replicates}")
     os.makedirs(args.out, exist_ok=True)
     summaries = []
     for r in range(args.replicates):

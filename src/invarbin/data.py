@@ -273,18 +273,30 @@ class EncodingSpec:
 
     @staticmethod
     def from_json(text: str) -> "EncodingSpec":
-        payload = json.loads(text)
-        return EncodingSpec(
-            columns=tuple(payload["columns"]),
-            kinds=payload["kinds"],
-            categories={k: tuple(v) for k, v in payload["categories"].items()},
-            response_column=payload["response_column"],
-            response_map={k: int(v) for k, v in payload["response_map"].items()},
-            env_column=payload["env_column"],
-            env_map=payload["env_map"],
-            missing_policy=payload.get("missing_policy", "drop_row"),
-            missing_token=payload.get("missing_token", _MISSING_TOKEN),
-        )
+        """Parse :meth:`to_json` output; a malformed document raises :class:`SchemaError`."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"schema is not valid JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise SchemaError(f"schema must be a JSON object, not {type(payload).__name__}")
+        try:
+            fields = dict(
+                columns=tuple(payload["columns"]),
+                kinds=dict(payload["kinds"]),
+                categories={k: tuple(v) for k, v in payload["categories"].items()},
+                response_column=payload["response_column"],
+                response_map={k: int(v) for k, v in payload["response_map"].items()},
+                env_column=payload["env_column"],
+                env_map={k: dict(v) for k, v in payload["env_map"].items()},
+                missing_policy=payload.get("missing_policy", "drop_row"),
+                missing_token=payload.get("missing_token", _MISSING_TOKEN),
+            )
+        except KeyError as exc:
+            raise SchemaError(f"schema has no {exc.args[0]!r} entry") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise SchemaError(f"schema entry has the wrong type: {exc}") from None
+        return EncodingSpec(**fields)
 
 
 def _is_missing(value: str, token: str) -> bool:

@@ -4,7 +4,8 @@ Everything here is seeded through counter-based Philox bit generators, so a
 given (seed, stream) pair yields the same draws on any platform and any
 worker schedule.  Stream 0 is reserved for drawing configurations, stream 1
 for generating data from a configuration, stream 2 for building random
-discrete structural models.
+discrete structural models, stream 3 for sampling a discrete model's exact
+joint distribution.
 
 The discrete part of the module exists to check the pipeline's central
 identity without sampling error: a structural model over finitely supported
@@ -33,6 +34,9 @@ _MIN_VIOLATION_GAP = 0.05
 
 def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator; (seed, stream) fully determines the draws."""
+    for what, value in (("seed", seed), ("stream", stream)):
+        if value < 0:
+            raise ValidationError(f"{what} must be non-negative, got {value}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, stream])))
 
 
@@ -332,27 +336,14 @@ class ScmSpec:
         return (*self.k_mechanism.r_parents, TARGET)
 
 
-def children_map(spec: ScmSpec) -> dict[str, set[str]]:
-    out: dict[str, set[str]] = {name: set() for name in spec.order}
-    for name, var in spec.variables.items():
-        for parent in var.parents:
-            out[parent].add(name)
-    for parent in spec.k_parents():
-        out[parent].add(spec.k_name)
-    return out
-
-
 def descendants(spec: ScmSpec, name: str) -> set[str]:
-    kids = children_map(spec)
-    seen: set[str] = set()
-    frontier = [name]
-    while frontier:
-        node = frontier.pop()
-        for child in kids[node]:
-            if child not in seen:
-                seen.add(child)
-                frontier.append(child)
-    return seen
+    """Variables below ``name``: one pass over the validated topological order."""
+    below: set[str] = set()
+    for var in spec.order:
+        parents = spec.k_parents() if var == spec.k_name else spec.variables[var].parents
+        if any(p == name or p in below for p in parents):
+            below.add(var)
+    return below
 
 
 def q_is_non_descendant(spec: ScmSpec) -> bool:
@@ -431,8 +422,9 @@ class DiscreteOracle:
             joint[assignment] = joint.get(assignment, Fraction(0)) + prob
         return joint
 
-    def total_mass(self, env: str):
-        return sum(self._joint[env].values())
+    def joint(self, env: str) -> dict[tuple, Fraction]:
+        """Positive-probability assignments, valued in ``spec.order``, and their masses."""
+        return self._joint[env]
 
     def _s_table(self, env: str) -> dict:
         """Per x_S accumulators: mass, class-1 mass, k sums overall/by class."""
@@ -480,13 +472,13 @@ class DiscreteOracle:
         return None if mass0 == 0 else cell[4] / mass0
 
 
-def ratio_identity_gap(spec: ScmSpec, oracle: DiscreteOracle | None = None) -> float:
+def ratio_identity_gap(spec: ScmSpec) -> float:
     """Worst |matching ratio - P(Y=1 | X_S)| over envs and support points.
 
     Skips support points where either class-conditional expectation is
     undefined or where the two coincide (vanishing denominator).
     """
-    oracle = oracle or DiscreteOracle(spec)
+    oracle = DiscreteOracle(spec)
     worst = Fraction(0)
     for env in spec.envs:
         for x_s in oracle.support_s(env):
@@ -501,14 +493,14 @@ def ratio_identity_gap(spec: ScmSpec, oracle: DiscreteOracle | None = None) -> f
     return float(worst)
 
 
-def h_invariance_gap(spec: ScmSpec, oracle: DiscreteOracle | None = None) -> float:
+def h_invariance_gap(spec: ScmSpec) -> float:
     """Worst cross-environment disagreement of the class-conditional tables.
 
     Compares h(x_S, y) between every environment pair at shared support
     points, for both classes.  Zero means the matching function is
     environment-constant wherever it is defined.
     """
-    oracle = oracle or DiscreteOracle(spec)
+    oracle = DiscreteOracle(spec)
     worst = Fraction(0)
     for env_a, env_b in itertools.combinations(spec.envs, 2):
         shared = set(oracle.support_s(env_a)) & set(oracle.support_s(env_b))
@@ -525,59 +517,23 @@ def h_invariance_gap(spec: ScmSpec, oracle: DiscreteOracle | None = None) -> flo
 
 
 def sample_scm(spec: ScmSpec, env: str, n: int, seed: int) -> dict[str, np.ndarray]:
-    """Vectorized ancestral sampling; returns one float array per variable."""
+    """Draw n whole assignments from the exact joint of ``env``.
+
+    Returns one float array per variable; a spec the oracle refuses
+    (over 10^4 atoms) raises :class:`SupportSizeError`.
+    """
     if env not in spec.envs:
         raise ValidationError(f"unknown environment {env!r}")
-    rng = philox_generator(seed, stream=3)
-    codes: dict[str, np.ndarray] = {}
-    values: dict[str, np.ndarray] = {}
-    support_of: dict[str, tuple[Fraction, ...]] = {
-        name: var.support for name, var in spec.variables.items()
-    }
-    support_of[spec.k_name] = _k_support(spec.k_mechanism)
+    return _sample_joint(DiscreteOracle(spec), env, n, seed)
 
-    def parent_codes(parents: tuple[str, ...]) -> np.ndarray:
-        idx = np.zeros(n, dtype=np.int64)
-        for parent in parents:
-            idx = idx * len(support_of[parent]) + codes[parent]
-        return idx
 
-    for name in spec.order:
-        if name == spec.k_name:
-            mech = spec.k_mechanism
-            parents = spec.k_parents()
-            combos = list(itertools.product(*(support_of[p] for p in parents)))
-            g_row = np.asarray([float(mech.g[key]) for key in combos])
-            noise = mech.noise[env]
-            cum = np.cumsum(np.asarray([float(q) for q in noise.probs]))
-            noise_idx = np.searchsorted(cum, rng.random(n), side="right")
-            noise_idx = np.minimum(noise_idx, len(noise.values) - 1)
-            k_support = support_of[spec.k_name]
-            pos_of = {v: i for i, v in enumerate(k_support)}
-            pos_table = np.asarray(
-                [
-                    [pos_of[mech.g[key] + nu] for nu in noise.values]
-                    for key in combos
-                ],
-                dtype=np.int64,
-            )
-            idx = parent_codes(parents)
-            codes[name] = pos_table[idx, noise_idx]
-            values[name] = g_row[idx] + np.asarray([float(v) for v in noise.values])[noise_idx]
-        else:
-            var = spec.variables[name]
-            combos = list(itertools.product(*(support_of[p] for p in var.parents)))
-            probs = np.asarray(
-                [[float(p) for p in var.cpts[env][key]] for key in combos]
-            )
-            cum = np.cumsum(probs, axis=1)
-            idx = parent_codes(var.parents)
-            u = rng.random(n)
-            pick = (u[:, None] > cum[idx]).sum(axis=1)
-            pick = np.minimum(pick, len(var.support) - 1)
-            codes[name] = pick
-            values[name] = np.asarray([float(v) for v in var.support])[pick]
-    return values
+def _sample_joint(oracle: DiscreteOracle, env: str, n: int, seed: int) -> dict[str, np.ndarray]:
+    joint = oracle.joint(env)
+    # exact partial sums end at exactly 1.0, so every uniform in [0, 1) finds an atom
+    cum = np.asarray([float(c) for c in itertools.accumulate(joint.values())])
+    pick = np.searchsorted(cum, philox_generator(seed, stream=3).random(n), side="right")
+    values = np.asarray(list(zip(*joint)), dtype=float)  # one row per variable
+    return dict(zip(oracle.spec.order, values[:, pick]))
 
 
 def scm_dataset(spec: ScmSpec, n_per_env: int, seed: int, test_env: str) -> MultiEnvDataset:
@@ -587,10 +543,11 @@ def scm_dataset(spec: ScmSpec, n_per_env: int, seed: int, test_env: str) -> Mult
     """
     if test_env not in spec.envs:
         raise ValidationError(f"unknown test environment {test_env!r}")
+    oracle = DiscreteOracle(spec)
     feature_names = tuple(name for name in spec.order if name != TARGET)
     parts = []
     for i, env in enumerate(spec.envs):
-        draws = sample_scm(spec, env, n_per_env, seed=seed * 1000 + i)
+        draws = _sample_joint(oracle, env, n_per_env, seed=seed * 1000 + i)
         role = ROLE_TEST if env == test_env else ROLE_TRAIN
         features = np.column_stack([draws[name] for name in feature_names])
         parts.append((env, role, features, draws[TARGET].astype(np.int64)))

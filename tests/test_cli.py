@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,6 +402,45 @@ def test_flag_the_command_does_not_read_exits_two(argv, simulated, tmp_path, cap
         main([*argv, "--out", str(tmp_path / "out"), *extra])
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["reproduce", "fig1", "--seed", "-1"], "seed must be non-negative, got -1"),
+        (["reproduce", "fig2", "--seed", "-2"], "seed must be non-negative, got -2"),
+        (["fit-predict", "--schema", "{not json"], "schema is not valid JSON"),
+        (["fit-predict", "--schema", '{"columns": ["x1"]}'], "schema has no 'kinds' entry"),
+        (["fit-predict", "--schema", "[1, 2]"], "schema must be a JSON object, not list"),
+        (["fit-predict", "--schema", '{"columns": 5}'], "schema entry has the wrong type"),
+        (["simulate", "--replicates", "-2"], "--replicates must be at least 1, got -2"),
+        (["reproduce", "fig2", "--replicates", "0"], "--replicates must be at least 1, got 0"),
+    ],
+    ids=["simulate-seed", "fig1-seed", "fig2-seed", "schema-not-json", "schema-no-kinds",
+         "schema-a-list", "schema-wrong-type", "simulate-replicates", "fig2-replicates"],
+)
+def test_bad_outside_input_exits_one_with_one_error_line(argv, message, simulated, tmp_path):
+    # a separate interpreter, so an exception that escapes main shows as a traceback
+    if argv[0] == "fit-predict":
+        schema = tmp_path / "schema.json"
+        schema.write_text(argv[2], encoding="utf-8")
+        argv = ["fit-predict", "--data", *simulated, "--schema", str(schema)]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "invarbin.cli", *argv, "--out", str(tmp_path / "out")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 1
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0], done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_usage_error_exits_two():

@@ -24,6 +24,7 @@ from invarbin import (
     sample_scm,
     scm_dataset,
 )
+from invarbin.simgen import descendants
 from invarbin import test_subset as held_out_subset
 from invarbin import training_subset
 
@@ -36,6 +37,12 @@ def test_philox_streams_are_independent_and_repeatable():
     b = philox_generator(42, stream=1).normal(size=5)
     assert np.array_equal(a1, a2)
     assert not np.array_equal(a1, b)
+
+
+@pytest.mark.parametrize("seed, stream, named", [(-1, 0, "seed"), (0, -3, "stream")])
+def test_philox_refuses_negative_seed_or_stream(seed, stream, named):
+    with pytest.raises(ValidationError, match=f"{named} must be non-negative"):
+        philox_generator(seed, stream)
 
 
 def test_every_export_resolves():
@@ -187,7 +194,7 @@ def test_oracle_matches_brute_force_enumeration():
     spec = tiny_matching_spec()
     oracle = DiscreteOracle(spec)
     for env in spec.envs:
-        assert oracle.total_mass(env) == 1
+        assert sum(oracle.joint(env).values()) == 1
         reference = brute_force_tables(spec, env)
         assert set(oracle.support_s(env)) == {(a,) for a in reference}
         for a, cell in reference.items():
@@ -259,6 +266,18 @@ def test_sampler_deterministic():
         assert np.array_equal(d1[name], d2[name])
 
 
+def test_sampler_draws_only_positive_probability_atoms():
+    specs = [tiny_matching_spec(), *(random_matching_spec(seed) for seed in range(6))]
+    for spec in specs:
+        oracle = DiscreteOracle(spec)
+        for env in spec.envs:
+            joint = oracle.joint(env)
+            atoms = {tuple(float(v) for v in atom) for atom, p in joint.items() if p > 0}
+            draws = sample_scm(spec, env, 2000, seed=11)
+            rows = set(zip(*(draws[name].tolist() for name in spec.order)))
+            assert rows <= atoms
+
+
 def test_scm_dataset_wraps_sampler():
     spec = tiny_matching_spec()
     d = scm_dataset(spec, n_per_env=300, seed=5, test_env="e2")
@@ -274,6 +293,28 @@ def test_random_matching_specs_satisfy_identity():
         assert q_is_non_descendant(spec)
         assert ratio_identity_gap(spec) == 0.0
         assert h_invariance_gap(spec) == 0.0
+
+
+def closure_descendants(spec: ScmSpec, name: str) -> set[str]:
+    """Transitive closure of the child relation, iterated to a fixed point in no set order."""
+    parents = {var: set(spec.variables[var].parents) for var in spec.variables}
+    parents[spec.k_name] = {*spec.k_mechanism.r_parents, "Y"}
+    below: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for var, ups in parents.items():
+            if var not in below and (name in ups or ups & below):
+                below.add(var)
+                grew = True
+    return below
+
+
+def test_descendants_match_transitive_closure():
+    for seed in range(100):
+        for spec in (random_matching_spec(seed), random_violating_spec(seed)):
+            for name in spec.order:
+                assert descendants(spec, name) == closure_descendants(spec, name)
 
 
 def test_random_matching_specs_vary():
@@ -326,6 +367,12 @@ def test_oracle_refuses_more_than_ten_thousand_atoms():
     noise = DiscreteNoise((F(-1), F(0), F(1)), (F(1, 4), F(1, 2), F(1, 4)))
     with pytest.raises(SupportSizeError, match="12288 atoms"):
         DiscreteOracle(uniform_roots_spec(11, 2, noise))
+
+
+def test_sampler_refuses_more_than_ten_thousand_atoms():
+    noise = DiscreteNoise((F(-1), F(0), F(1)), (F(1, 4), F(1, 2), F(1, 4)))
+    with pytest.raises(SupportSizeError, match="12288 atoms"):
+        sample_scm(uniform_roots_spec(11, 2, noise), "e1", 10, seed=0)
 
 
 def test_noise_must_be_zero_mean():
