@@ -368,10 +368,10 @@ def _write_env_csvs(d: MultiEnvDataset, out: str, prefix: str) -> list[str]:
 def cmd_simulate(args) -> int:
     if args.replicates < 1:
         raise ValidationError(f"--replicates must be at least 1, got {args.replicates}")
-    os.makedirs(args.out, exist_ok=True)
     for r in range(args.replicates):
         cfg = draw_benchmark_config(args.seed + r, m=args.m, n_per_env=args.n_per_env)
         d = gen_benchmark(cfg)
+        os.makedirs(args.out, exist_ok=True)
         prefix = f"rep{r:03d}"
         files = _write_env_csvs(d, args.out, prefix)
         manifest = {
@@ -413,12 +413,11 @@ def _load_datafiles(paths: list[str], args) -> MultiEnvDataset:
 
 
 def cmd_fit_predict(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    methods = _resolve_methods(args.methods)
     d = _load_datafiles(args.data, args)
-    summaries = []
-    for method in _resolve_methods(args.methods):
-        result = _run_method(method, d, args)
-        summaries.append(result["summary"])
+    results = [_run_method(method, d, args) for method in methods]
+    os.makedirs(args.out, exist_ok=True)
+    for method, result in zip(methods, results):
         _write_predictions(os.path.join(args.out, f"predictions_{method}.csv"), result)
         if method.startswith("bimp-"):
             model = result["model"]
@@ -432,6 +431,7 @@ def cmd_fit_predict(args) -> int:
             )
         status = "abstained" if result["abstained"] else f"acc={result['summary'].accuracy:.4f}"
         print(f"{method}: {status}")
+    summaries = [result["summary"] for result in results]
     _write_records(os.path.join(args.out, "summary.csv"), RunSummary, summaries)
     return 0
 
@@ -440,7 +440,6 @@ def cmd_fit_predict(args) -> int:
 
 
 def cmd_reproduce_fig1(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     d = gen_anchor(args.n_per_env, args.seed)
     test = test_subset(d)
     base_rate = float(training_subset(d).response.mean())
@@ -463,6 +462,7 @@ def cmd_reproduce_fig1(args) -> int:
                 pair_probs["x2|x1"][i],
             ]
         )
+    os.makedirs(args.out, exist_ok=True)
     _write_csv(
         os.path.join(args.out, "fig1_samples.csv"),
         ["x1", "x2", "x3", "y", "prob_x3_x1", "prob_x2_x1"],
@@ -487,7 +487,6 @@ def cmd_reproduce_fig1(args) -> int:
 def cmd_reproduce_fig2(args) -> int:
     if args.replicates < 1:
         raise ValidationError(f"--replicates must be at least 1, got {args.replicates}")
-    os.makedirs(args.out, exist_ok=True)
     summaries = []
     for r in range(args.replicates):
         cfg = draw_benchmark_config(args.seed + r, n_per_env=args.n_per_env)
@@ -496,6 +495,7 @@ def cmd_reproduce_fig2(args) -> int:
             _run_method(method, d, args, cap=cfg.m - 1, replicate=r)["summary"]
             for method in METHODS
         )
+    os.makedirs(args.out, exist_ok=True)
     _write_records(os.path.join(args.out, "fig2_replicates.csv"), RunSummary, summaries)
     aggregates = aggregate_replicates(summaries)
     _write_records(os.path.join(args.out, "fig2_summary.csv"), MethodAggregate, aggregates)
@@ -583,13 +583,13 @@ def _run_table(args, path: str, experiments) -> int:
             table_rows.append([name, method, s.accuracy, s.abstained, s.n_pairs])
             shown = "abstained" if s.abstained else f"{s.accuracy:.4f}"
             print(f"{name} / {method}: {shown}")
+    os.makedirs(args.out, exist_ok=True)
     _write_csv(path, ["experiment", "method", "accuracy", "abstained", "n_pairs"], table_rows)
     return 0
 
 
 def cmd_reproduce_table1(args) -> int:
     rows = _read_raw_table(args.census_path, CENSUS_COLUMNS, CENSUS_INSTRUCTIONS)
-    os.makedirs(args.out, exist_ok=True)
     experiments = (
         (name, _census_dataset(rows, split_column, predicate))
         for name, split_column, predicate in _census_experiments()
@@ -618,7 +618,6 @@ def _mushroom_dataset(rows, test_habitat: str) -> MultiEnvDataset:
 
 def cmd_reproduce_table2(args) -> int:
     rows = _read_raw_table(args.mushroom_path, MUSHROOM_COLUMNS, MUSHROOM_INSTRUCTIONS)
-    os.makedirs(args.out, exist_ok=True)
     experiments = (
         (name, _mushroom_dataset(rows, habitat))
         for name, habitat in (("meadows", "m"), ("paths", "p"))

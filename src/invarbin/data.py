@@ -11,7 +11,10 @@ column, whether it is numeric or categorical, the category list (whose first
 entry is the dropped reference level), how missing cells are treated, and
 how raw response and environment values map to {0, 1} and labeled
 environments.  Two loads of the same file under the same schema produce
-bit-identical matrices.
+bit-identical matrices.  :func:`sniff_table` and :func:`encode_table`
+transpose the rows once and read them column by column, parsing a numeric
+column in one ``float`` pass; their refusals still name the first offending
+line in file order.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import copy
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
+from itertools import repeat
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -299,8 +303,30 @@ class EncodingSpec:
         return EncodingSpec(**fields)
 
 
-def _is_missing(value: str, token: str) -> bool:
-    return value == "" or value == token
+def _columns(header: list[str], rows: list[tuple[int, list[str]]]):
+    """Cells by header name, transposed once, up to the first row of the wrong width.
+
+    Also returns that row's :class:`CsvParseError`, or None.  Callers strip only
+    the columns they compare: ``float`` ignores the whitespace ``str.strip`` removes.
+    """
+    cells = [row for _, row in rows]
+    widths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    wrong = np.flatnonzero(widths != len(header))
+    bad_width = None
+    if wrong.size:
+        line_no, row = rows[wrong[0]]
+        bad_width = CsvParseError(f"expected {len(header)} fields, found {len(row)}", line=line_no)
+        cells = cells[: wrong[0]]
+    columns = list(zip(*cells)) if cells else [()] * len(header)
+    return dict(zip(header, columns)), bad_width
+
+
+def _floats(cells: Sequence[str]) -> np.ndarray | None:
+    """The cells parsed by ``float``, or None when one of them does not parse."""
+    try:
+        return np.fromiter(map(float, cells), dtype=float, count=len(cells))
+    except ValueError:
+        return None
 
 
 def encode_table(
@@ -313,102 +339,91 @@ def encode_table(
     Cells are whitespace-stripped before any comparison.  Rows are dropped
     when their environment maps to role "drop" or when the missing policy
     says so; every other unmappable value raises :class:`SchemaError`.
-    """
-    positions = {name: i for i, name in enumerate(header)}
-    for col in (*spec.columns, spec.response_column, spec.env_column):
-        if col not in positions:
-            raise SchemaError(f"column {col!r} not present in header")
 
-    cat_positions: dict[str, dict[str, int]] = {}
-    for col in spec.columns:
-        if spec.kinds[col] == "categorical":
-            cats = spec.categories[col]
-            cat_positions[col] = {c: i - 1 for i, c in enumerate(cats)}
+    A refusal names the first offending line in file order.  Within a line
+    the environment comes first, then the response, then the columns in spec
+    order, and a row dropped by its environment or a missing cell raises
+    nothing for its later cells.  A row of the wrong width raises
+    :class:`CsvParseError` only when no earlier row raised.
+    """
+    for col in (*spec.columns, spec.response_column, spec.env_column):
+        if col not in header:
+            raise SchemaError(f"column {col!r} not present in header")
+    cells, bad_width = _columns(header, rows)
+    refusals: list[tuple[int, int, str]] = []  # (row, stage): the least one is raised
+
+    env_cells = list(map(str.strip, cells[spec.env_column]))
+    n = len(env_cells)
+    code_of_env = {raw: code for code, raw in enumerate(spec.env_map)}
+    env_codes = np.fromiter(map(code_of_env.get, env_cells, repeat(-1)), dtype=np.intp, count=n)
+    for i in np.flatnonzero(env_codes < 0)[:1]:
+        refusals.append((i, 0, f"unmapped environment value {env_cells[i]!r}"))
+    # code -1 (unmapped) indexes the trailing False
+    keep = np.array([r["role"] != ROLE_DROP for r in spec.env_map.values()] + [False])[env_codes]
+
+    y_cells = list(map(str.strip, cells[spec.response_column]))
+    response = np.fromiter(map(spec.response_map.get, y_cells, repeat(-1)), np.int64, count=n)
+    for i in np.flatnonzero(keep & (response < 0))[:1]:
+        refusals.append((i, 1, f"unmapped response value {y_cells[i]!r}"))
 
     encoded = spec.encoded_columns()
-    width = len(encoded)
-    offsets: dict[str, int] = {}
+    features = np.empty((n, len(encoded)))
     cursor = 0
-    for col in spec.columns:
-        offsets[col] = cursor
-        cursor += 1 if spec.kinds[col] == "numeric" else len(spec.categories[col]) - 1
+    # a token that does not parse already fails the one-pass parse of its column
+    token_parses = _floats([spec.missing_token]) is not None
+    for stage, col in enumerate(spec.columns, start=2):
+        column = cells[col]
+        if spec.kinds[col] == "numeric":
+            values = _floats(column)
+            if values is None or token_parses and spec.missing_token in map(str.strip, column):
+                values = np.zeros(n)
+                for i, cell in enumerate(map(str.strip, column)):
+                    if cell in ("", spec.missing_token):
+                        keep[i] = False
+                        continue
+                    try:
+                        values[i] = float(cell)
+                    except ValueError:
+                        if keep[i]:
+                            refusals.append(
+                                (i, stage, f"column {col!r} has non-numeric value {cell!r}")
+                            )
+                            break
+            features[:, cursor] = values
+            cursor += 1
+        else:
+            levels = spec.categories[col][1:]  # the reference level and unseen cells: -1
+            slot = {cat: j for j, cat in enumerate(levels)}
+            if spec.missing_policy == "drop_row":
+                slot[""] = slot[spec.missing_token] = -2
+            codes = np.fromiter(map(slot.get, map(str.strip, column), repeat(-1)), np.intp, count=n)
+            keep &= codes != -2
+            features[:, cursor : cursor + len(levels)] = codes[:, None] == np.arange(len(levels))
+            cursor += len(levels)
 
-    feature_rows: list[np.ndarray] = []
-    responses: list[int] = []
-    env_labels: list[str] = []
+    if refusals:
+        i, _, message = min(refusals)
+        raise SchemaError(f"line {rows[i][0]}: {message}")
+    if bad_width is not None:
+        raise bad_width
+
     declared: dict[str, str] = {}
     for record in spec.env_map.values():
-        if record["role"] != ROLE_DROP and record["label"] not in declared:
-            declared[record["label"]] = record["role"]
-
-    for line_no, row in rows:
-        if len(row) != len(header):
-            raise CsvParseError(
-                f"expected {len(header)} fields, found {len(row)}", line=line_no
-            )
-        cells = [c.strip() for c in row]
-
-        raw_env = cells[positions[spec.env_column]]
-        if raw_env not in spec.env_map:
-            raise SchemaError(f"line {line_no}: unmapped environment value {raw_env!r}")
-        env_record = spec.env_map[raw_env]
-        if env_record["role"] == ROLE_DROP:
-            continue
-
-        raw_y = cells[positions[spec.response_column]]
-        if raw_y not in spec.response_map:
-            raise SchemaError(f"line {line_no}: unmapped response value {raw_y!r}")
-
-        values = np.zeros(width)
-        drop = False
-        for col in spec.columns:
-            cell = cells[positions[col]]
-            missing = _is_missing(cell, spec.missing_token)
-            if spec.kinds[col] == "numeric":
-                if missing:
-                    drop = True
-                    break
-                try:
-                    values[offsets[col]] = float(cell)
-                except ValueError:
-                    raise SchemaError(
-                        f"line {line_no}: column {col!r} has non-numeric value {cell!r}"
-                    ) from None
-            else:
-                if missing and spec.missing_policy == "drop_row":
-                    drop = True
-                    break
-                slot = cat_positions[col].get(cell)
-                if slot is None:
-                    # unseen category (or undeclared missing token): all zeros
-                    continue
-                if slot >= 0:
-                    values[offsets[col] + slot] = 1.0
-        if drop:
-            continue
-
-        feature_rows.append(values)
-        responses.append(spec.response_map[raw_y])
-        env_labels.append(env_record["label"])
-
-    environments = tuple(Environment(label, role) for label, role in declared.items())
-    sizes = {label: 0 for label in declared}
-    for label in env_labels:
-        sizes[label] += 1
-    empty = [label for label, count in sizes.items() if count == 0]
+        if record["role"] != ROLE_DROP:
+            declared.setdefault(record["label"], record["role"])
+    label_of = np.array([r.get("label") for r in spec.env_map.values()], dtype=object)
+    present = set(label_of[np.bincount(env_codes[keep], minlength=len(label_of)) > 0])
+    empty = [label for label in declared if label not in present]
     if empty:
         raise ValidationError(f"declared environments ended up empty: {empty}")
 
-    features = np.asarray(feature_rows) if feature_rows else np.zeros((0, width))
-    names = tuple(name for name, _ in encoded)
-    origin = {name: raw for name, raw in encoded}
     return MultiEnvDataset(
-        features=features,
-        response=np.asarray(responses, dtype=np.int64),
-        env_of=np.asarray(env_labels, dtype=object),
-        environments=environments,
-        column_names=names,
-        column_origin=origin,
+        features=features[keep],
+        response=response[keep],
+        env_of=label_of[env_codes[keep]],
+        environments=tuple(Environment(label, role) for label, role in declared.items()),
+        column_names=tuple(name for name, _ in encoded),
+        column_origin=dict(encoded),
     )
 
 
@@ -442,50 +457,34 @@ def sniff_table(
     the response column must carry exactly two distinct values, mapped in
     sorted order to 0 and 1.  Columns named in ``exclude`` are left out of
     the feature set.
+
+    Each column is typed by one ``float`` pass; only where that fails is it
+    parsed again without its missing cells.  A row of the wrong width raises
+    :class:`CsvParseError`.
     """
-    positions = {name: i for i, name in enumerate(header)}
     for col in (env_column, response_column):
-        if col not in positions:
+        if col not in header:
             raise SchemaError(f"column {col!r} not present in header")
+    cells, bad_width = _columns(header, rows)
+    if bad_width is not None:
+        raise bad_width
 
     skip = {env_column, response_column, *exclude}
     feature_cols = [c for c in header if c not in skip]
-    seen: dict[str, set[str]] = {c: set() for c in feature_cols}
-    numeric_ok: dict[str, bool] = {c: True for c in feature_cols}
-    env_values: list[str] = []
-    response_values: set[str] = set()
-    for line_no, row in rows:
-        if len(row) != len(header):
-            raise CsvParseError(
-                f"expected {len(header)} fields, found {len(row)}", line=line_no
-            )
-        cells = [c.strip() for c in row]
-        value = cells[positions[env_column]]
-        if value not in env_values:
-            env_values.append(value)
-        response_values.add(cells[positions[response_column]])
-        for col in feature_cols:
-            cell = cells[positions[col]]
-            if _is_missing(cell, _MISSING_TOKEN):
-                continue
-            seen[col].add(cell)
-            if numeric_ok[col]:
-                try:
-                    float(cell)
-                except ValueError:
-                    numeric_ok[col] = False
-
     kinds: dict[str, str] = {}
     categories: dict[str, tuple[str, ...]] = {}
     for col in feature_cols:
-        if numeric_ok[col] and seen[col]:
-            kinds[col] = "numeric"
-        else:
-            kinds[col] = "categorical"
-            categories[col] = tuple(sorted(seen[col]))
+        present = cells[col]
+        numeric = _floats(present) is not None
+        if not numeric:
+            present = [c for c in map(str.strip, present) if c not in ("", _MISSING_TOKEN)]
+            numeric = _floats(present) is not None
+        kinds[col] = "numeric" if numeric and present else "categorical"
+        if kinds[col] == "categorical":
+            categories[col] = tuple(sorted(set(present)))
 
     if response_map is None:
-        distinct = sorted(response_values)
+        distinct = sorted(set(map(str.strip, cells[response_column])))
         if len(distinct) != 2:
             raise SchemaError(
                 f"response column {response_column!r} has {len(distinct)} distinct "
@@ -498,7 +497,7 @@ def sniff_table(
             "label": value,
             "role": ROLE_TEST if value == test_env else ROLE_TRAIN,
         }
-        for value in sorted(env_values)
+        for value in sorted(set(map(str.strip, cells[env_column])))
     }
     if test_env is not None and test_env not in env_map:
         raise SchemaError(f"test environment {test_env!r} never appears in {env_column!r}")

@@ -528,6 +528,8 @@ def sample_scm(spec: ScmSpec, env: str, n: int, seed: int) -> dict[str, np.ndarr
 
 
 def _sample_joint(oracle: DiscreteOracle, env: str, n: int, seed: int) -> dict[str, np.ndarray]:
+    if n < 0:
+        raise ValidationError(f"row count must be non-negative, got {n}")
     joint = oracle.joint(env)
     # exact partial sums end at exactly 1.0, so every uniform in [0, 1) finds an atom
     cum = np.asarray([float(c) for c in itertools.accumulate(joint.values())])

@@ -8,6 +8,9 @@ are the scalar modified-Lentz recurrence, one value at a time in Python
 floats, that the array kernel in ``invarbin.stats`` must match bit for bit.
 ``log_likelihood`` is the Bernoulli log-likelihood through
 ``numpy.logaddexp``, against which the logistic fit's fused form is checked.
+``encode_rows`` and ``sniff_rows`` are the row-by-row CSV encoder and
+schema sniffer that ``invarbin.data``'s column-wise ``encode_table`` and
+``sniff_table`` must match in every dataset bit, schema entry and refusal.
 """
 
 import math
@@ -15,7 +18,17 @@ import math
 import numpy as np
 import pytest
 
-from invarbin import Environment, MultiEnvDataset, ROLE_TEST, ROLE_TRAIN
+from invarbin import (
+    CsvParseError,
+    EncodingSpec,
+    Environment,
+    MultiEnvDataset,
+    ROLE_DROP,
+    ROLE_TEST,
+    ROLE_TRAIN,
+    SchemaError,
+    ValidationError,
+)
 
 
 _BETAINC_TOL = 1e-10
@@ -157,3 +170,120 @@ def one_hot_dataset(n=900, categoricals=3, levels=5, seed=0):
     )
 
 
+
+
+def encode_rows(header, rows, spec) -> MultiEnvDataset:
+    """Reference encoder: one row at a time, each refusal raised as its row is met.
+
+    Within a row the environment is checked first, then the response, then
+    the feature columns in spec order; a row dropped by its environment's
+    role or by a missing cell is left before its later cells are read.
+    """
+    positions = {name: i for i, name in enumerate(header)}
+    for col in (*spec.columns, spec.response_column, spec.env_column):
+        if col not in positions:
+            raise SchemaError(f"column {col!r} not present in header")
+    encoded = spec.encoded_columns()
+    features, responses, env_labels = [], [], []
+    for line_no, row in rows:
+        if len(row) != len(header):
+            raise CsvParseError(f"expected {len(header)} fields, found {len(row)}", line=line_no)
+        cells = [c.strip() for c in row]
+        raw_env = cells[positions[spec.env_column]]
+        if raw_env not in spec.env_map:
+            raise SchemaError(f"line {line_no}: unmapped environment value {raw_env!r}")
+        if spec.env_map[raw_env]["role"] == ROLE_DROP:
+            continue
+        raw_y = cells[positions[spec.response_column]]
+        if raw_y not in spec.response_map:
+            raise SchemaError(f"line {line_no}: unmapped response value {raw_y!r}")
+        values = []
+        for col in spec.columns:
+            cell = cells[positions[col]]
+            missing = cell in ("", spec.missing_token)
+            if spec.kinds[col] == "numeric":
+                if missing:
+                    break
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise SchemaError(
+                        f"line {line_no}: column {col!r} has non-numeric value {cell!r}"
+                    ) from None
+            else:
+                if missing and spec.missing_policy == "drop_row":
+                    break
+                values.extend(float(cell == cat) for cat in spec.categories[col][1:])
+        else:
+            features.append(values)
+            responses.append(spec.response_map[raw_y])
+            env_labels.append(spec.env_map[raw_env]["label"])
+    declared = {}
+    for record in spec.env_map.values():
+        if record["role"] != ROLE_DROP:
+            declared.setdefault(record["label"], record["role"])
+    empty = [label for label in declared if label not in env_labels]
+    if empty:
+        raise ValidationError(f"declared environments ended up empty: {empty}")
+    return MultiEnvDataset(
+        features=np.array(features, dtype=float).reshape(len(features), len(encoded)),
+        response=np.array(responses, dtype=np.int64),
+        env_of=np.array(env_labels, dtype=object),
+        environments=tuple(Environment(label, role) for label, role in declared.items()),
+        column_names=tuple(name for name, _ in encoded),
+        column_origin=dict(encoded),
+    )
+
+
+def sniff_rows(header, rows, env_column, response_column, test_env=None, response_map=None):
+    """Reference sniffer: one row at a time, reading every stripped cell.
+
+    A feature column is numeric when it has a non-missing cell ("" and "?"
+    are missing) and every such cell parses as a float; otherwise it is
+    categorical over its sorted non-missing values.
+    """
+    for col in (env_column, response_column):
+        if col not in header:
+            raise SchemaError(f"column {col!r} not present in header")
+    positions = {name: i for i, name in enumerate(header)}
+    features = [c for c in header if c not in (env_column, response_column)]
+    seen = {col: set() for col in features}
+    numeric = {col: True for col in features}
+    env_values, response_values = set(), set()
+    for line_no, row in rows:
+        if len(row) != len(header):
+            raise CsvParseError(f"expected {len(header)} fields, found {len(row)}", line=line_no)
+        cells = [c.strip() for c in row]
+        env_values.add(cells[positions[env_column]])
+        response_values.add(cells[positions[response_column]])
+        for col in features:
+            cell = cells[positions[col]]
+            if cell in ("", "?"):
+                continue
+            seen[col].add(cell)
+            try:
+                float(cell)
+            except ValueError:
+                numeric[col] = False
+    if response_map is None:
+        distinct = sorted(response_values)
+        if len(distinct) != 2:
+            raise SchemaError(
+                f"response column {response_column!r} has {len(distinct)} distinct "
+                "values; pass an explicit response_map"
+            )
+        response_map = {distinct[0]: 0, distinct[1]: 1}
+    if test_env is not None and test_env not in env_values:
+        raise SchemaError(f"test environment {test_env!r} never appears in {env_column!r}")
+    return EncodingSpec(
+        columns=tuple(features),
+        kinds={c: "numeric" if numeric[c] and seen[c] else "categorical" for c in features},
+        categories={c: tuple(sorted(seen[c])) for c in features if not (numeric[c] and seen[c])},
+        response_column=response_column,
+        response_map=dict(response_map),
+        env_column=env_column,
+        env_map={
+            v: {"label": v, "role": ROLE_TEST if v == test_env else ROLE_TRAIN}
+            for v in sorted(env_values)
+        },
+    )

@@ -404,6 +404,11 @@ def test_flag_the_command_does_not_read_exits_two(argv, simulated, tmp_path, cap
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+ONE_TRAINING_ENV = "env,y,x1\n" + "".join(
+    f"{env},{i % 2},{i / 10}\n" for env in ("env1", "test") for i in range(8)
+)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -416,16 +421,31 @@ def test_flag_the_command_does_not_read_exits_two(argv, simulated, tmp_path, cap
         (["fit-predict", "--schema", '{"columns": 5}'], "schema entry has the wrong type"),
         (["simulate", "--replicates", "-2"], "--replicates must be at least 1, got -2"),
         (["reproduce", "fig2", "--replicates", "0"], "--replicates must be at least 1, got 0"),
+        (["simulate", "--n-per-env", "0"], "n_per_env must be positive"),
+        (["simulate", "--m", "1"], "benchmark family needs m >= 2"),
+        (["reproduce", "fig1", "--n-per-env", "0"], "n_per_env must be positive"),
+        (["reproduce", "fig2", "--replicates", "1", "--n-per-env", "0"],
+         "n_per_env must be positive"),
+        (["fit-predict", "--data", "env,y,x1\nenv1,0,1.5\nenv1,1\n"],
+         "line 3: expected 3 fields, found 2"),
+        (["fit-predict", "--data", ONE_TRAINING_ENV], "at least two training environments"),
+        (["fit-predict", "--methods", "forest"], "unknown method 'forest'"),
     ],
     ids=["simulate-seed", "fig1-seed", "fig2-seed", "schema-not-json", "schema-no-kinds",
-         "schema-a-list", "schema-wrong-type", "simulate-replicates", "fig2-replicates"],
+         "schema-a-list", "schema-wrong-type", "simulate-replicates", "fig2-replicates",
+         "simulate-rows", "simulate-m", "fig1-rows", "fig2-rows", "data-short-row",
+         "data-one-training-env", "unknown-method"],
 )
 def test_bad_outside_input_exits_one_with_one_error_line(argv, message, simulated, tmp_path):
     # a separate interpreter, so an exception that escapes main shows as a traceback
     if argv[0] == "fit-predict":
-        schema = tmp_path / "schema.json"
-        schema.write_text(argv[2], encoding="utf-8")
-        argv = ["fit-predict", "--data", *simulated, "--schema", str(schema)]
+        flag, value = argv[1:]
+        data = [] if flag == "--data" else ["--data", *simulated]
+        if flag in ("--data", "--schema"):
+            path = tmp_path / "input"
+            path.write_text(value, encoding="utf-8")
+            value = str(path)
+        argv = ["fit-predict", *data, flag, value]
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -441,6 +461,8 @@ def test_bad_outside_input_exits_one_with_one_error_line(argv, message, simulate
     errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and message in errors[0], done.stderr
     assert "Traceback" not in done.stderr
+    # a refused run leaves no output directory behind
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_error_exits_two():

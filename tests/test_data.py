@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,22 @@ def test_encode_missing_numeric_always_drops():
     assert d.n == 3
 
 
+def test_encode_missing_token_that_parses_still_drops():
+    # every size cell parses as a float, "-1" included
+    spec = dataclasses.replace(SPEC, missing_token="-1")
+    d = encode_table(
+        HEADER,
+        rows(
+            ["-1", "blue", "no", "one"],
+            ["2", "red", "yes", "one"],
+            ["3", "green", "no", "two"],
+            ["4", "blue", "no", "hold"],
+        ),
+        spec,
+    )
+    assert d.features[:, 0].tolist() == [2.0, 3.0, 4.0]
+
+
 def test_encode_missing_categorical_policy():
     table = rows(
         ["1", "?", "no", "one"],
@@ -270,6 +288,91 @@ def test_encode_field_count_mismatch():
     with pytest.raises(CsvParseError) as info:
         encode_table(HEADER, [(5, ["1", "blue", "no"])], SPEC)
     assert info.value.line == 5
+
+
+# spec order (b, color, a) differs from header order (a, b, color)
+TWO_NUMERIC = EncodingSpec(
+    columns=("b", "color", "a"),
+    kinds={"b": "numeric", "a": "numeric", "color": "categorical"},
+    categories={"color": ("blue", "red")},
+    response_column="label",
+    response_map=SPEC.response_map,
+    env_column="env",
+    env_map=SPEC.env_map,
+)
+TWO_NUMERIC_HEADER = ["a", "b", "color", "label", "env"]
+GOOD_ROWS = (
+    ["1", "2", "red", "no", "one"],
+    ["3", "4", "blue", "yes", "two"],
+    ["5", "6", "red", "no", "hold"],
+)
+
+
+def refusal(*cells):
+    with pytest.raises(SchemaError) as info:
+        encode_table(TWO_NUMERIC_HEADER, rows(*cells), TWO_NUMERIC)
+    return str(info.value)
+
+
+def test_encode_refusal_before_a_short_row_names_its_own_line():
+    message = refusal(["1", "2", "red", "no", "elsewhere"], *GOOD_ROWS[1:], ["1", "2"])
+    assert message == "line 2: unmapped environment value 'elsewhere'"
+    with pytest.raises(CsvParseError) as info:
+        encode_table(TWO_NUMERIC_HEADER, rows(*GOOD_ROWS, ["1", "2"]), TWO_NUMERIC)
+    assert info.value.line == 5
+
+
+def test_encode_names_the_line_of_a_non_numeric_cell():
+    message = refusal(
+        ["big", "2", "red", "no", "junk"],  # dropped by its environment's role
+        ["1", "?", "red", "no", "one"],  # dropped by its missing b, before a
+        *GOOD_ROWS,
+        ["1", " x ", "red", "no", "two"],
+    )
+    assert message == "line 7: column 'b' has non-numeric value 'x'"
+
+
+def test_encode_names_the_line_of_an_unmapped_response():
+    message = refusal(
+        ["1", "2", "red", "maybe", "junk"],  # dropped by its environment's role
+        *GOOD_ROWS,
+        ["1", "2", "red", "perhaps", "one"],
+    )
+    assert message == "line 6: unmapped response value 'perhaps'"
+
+
+def test_encode_dropped_rows_never_raise_for_their_later_cells():
+    d = encode_table(
+        TWO_NUMERIC_HEADER,
+        rows(
+            ["big", "small", "red", "maybe", "junk"],
+            ["huge", "?", "red", "no", "one"],
+            ["huge", "1", "?", "no", "two"],
+            *GOOD_ROWS,
+        ),
+        TWO_NUMERIC,
+    )
+    assert d.n == 3 and list(d.env_of) == ["one", "two", "hold"]
+    # a cell before the one that drops the row still raises
+    message = refusal(*GOOD_ROWS, ["1", "small", "?", "no", "one"])
+    assert message == "line 5: column 'b' has non-numeric value 'small'"
+
+
+def test_encode_refuses_a_row_by_environment_response_then_spec_order():
+    cells = ["x", "y", "red", "maybe", "elsewhere"]
+    assert refusal(*GOOD_ROWS, cells) == "line 5: unmapped environment value 'elsewhere'"
+    cells[4] = "one"
+    assert refusal(*GOOD_ROWS, cells) == "line 5: unmapped response value 'maybe'"
+    cells[3] = "no"
+    assert refusal(*GOOD_ROWS, cells) == "line 5: column 'b' has non-numeric value 'y'"
+    cells[1] = "2"
+    assert refusal(*GOOD_ROWS, cells) == "line 5: column 'a' has non-numeric value 'x'"
+
+
+def test_sniff_names_the_line_of_a_short_row():
+    with pytest.raises(CsvParseError) as info:
+        sniff_table(HEADER, rows(["1", "blue", "no", "one"], ["2", "red"]), "env", "label")
+    assert info.value.line == 3
 
 
 def test_encode_empty_declared_environment():

@@ -3,6 +3,12 @@
 Each example is a dataset with 2-3 training environments (both classes in
 each), 1-25 test rows and 1-4 columns.  A column is Gaussian at scale 0,
 1e-3, 1 or 100, binary, or a near-duplicate of the column before it.
+
+The ingest properties draw small raw tables instead: padded, missing,
+non-numeric and unmapped cells, rows of the wrong width, environments that
+are dropped, unmapped or left empty, and both missing-value policies.  The
+column-wise ``encode_table`` and ``sniff_table`` must agree with the
+row-by-row references in ``oracles`` on every bit or refusal.
 """
 
 import numpy as np
@@ -12,22 +18,27 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from invarbin import (  # noqa: E402
+    EncodingSpec,
     Environment,
     MultiEnvDataset,
     ROLE_TEST,
     ROLE_TRAIN,
     VARIANT_GAM,
     VARIANT_LINEAR,
+    encode_table,
     fit_bimp,
     fit_icp,
     predict_bimp,
     predict_pair,
+    sniff_table,
 )
 from invarbin import test_subset as held_out_subset  # noqa: E402
 from invarbin.regression import predict  # noqa: E402
+from oracles import encode_rows, sniff_rows  # noqa: E402
 
 COLUMN_KINDS = (0.0, 1e-3, 1.0, 100.0, "binary", "near-duplicate")
 FEW = settings(max_examples=30, deadline=None)
+TABLES = settings(max_examples=100, deadline=None)
 
 
 def build_dataset(seed, train_sizes, n_test, kinds, train_labels) -> MultiEnvDataset:
@@ -116,3 +127,103 @@ def test_renaming_training_environments_changes_no_bit(recipe):
                 predict_bimp(a, target).probabilities.tobytes()
                 == predict_bimp(b, target).probabilities.tobytes()
             )
+
+
+# Half the tables hold only values that encode (missing cells included);
+# the other half mix in a few that are refused.
+NUMBERS = ("1", " 2.5 ", "-0", "3", "7e-3")
+LEVELS = ("a", " b", "c", "?", "")
+ODD_NUMBERS = ("nan", "1e400", "1_0", "", " x ", "\u20037\u3000")
+ODD_LEVELS = ("1", "x y", " ? ")
+ODD_ENVS = ("zz", "", " e1 ")
+ODD_RESPONSES = ("maybe", "", "?")
+ROLES = ("train",) * 6 + ("test", "drop", "unmapped")
+
+
+@st.composite
+def raw_tables(draw):
+    """(header, rows, spec): a raw table and a schema that may not fit it."""
+    env_map = {}
+    for raw in ("e1", "e2", "t", "junk"):
+        role = draw(st.sampled_from(ROLES))
+        if role != "unmapped":
+            label = draw(st.sampled_from(("A", "A", "B"))) if role == "train" else raw
+            env_map[raw] = {"label": label, "role": role}
+    names = draw(st.lists(st.sampled_from("abcd"), max_size=3, unique=True))
+    kinds = {name: draw(st.sampled_from(("numeric", "categorical"))) for name in names}
+    odd = draw(st.booleans())
+
+    def cells(common, uncommon):
+        return common * 2 + uncommon if odd else common
+
+    pools = {}
+    for name in names:
+        # without "?" a column parses in one pass even where a token such as
+        # "-0" marks some of its cells missing
+        if kinds[name] == "numeric":
+            pools[name] = cells(NUMBERS + draw(st.sampled_from(((), ("?",)))), ODD_NUMBERS)
+        else:
+            pools[name] = cells(LEVELS, ODD_LEVELS)
+    pools.update(env=cells(tuple(env_map) or ("e1",), ODD_ENVS),
+                 y=cells(("0", "1", " 1"), ODD_RESPONSES))
+    header = draw(st.permutations([*names, "y", "env"]))
+    row_cells = st.tuples(*(st.sampled_from(pools[name]) for name in header))
+    widths = st.sampled_from((0,) * 30 + (-1, 1) if odd else (0,))
+    rows = []
+    for i in range(draw(st.sampled_from(range(12, -1, -1)))):
+        row, width = list(draw(row_cells)), draw(widths)
+        rows.append((i + 2, row[:width] if width < 0 else row + ["extra"] * width))
+    columns = draw(st.permutations(names))
+    columns = columns[: draw(st.integers(0, len(columns)))]
+    spec = EncodingSpec(
+        columns=tuple(columns),
+        kinds=kinds,
+        categories={
+            col: tuple(draw(st.lists(st.sampled_from(("a", "b", "c", "?", "", "1")),
+                                     min_size=1, max_size=4, unique=True)))
+            for col in columns
+            if kinds[col] == "categorical"
+        },
+        response_column="y",
+        response_map=draw(st.sampled_from(({"0": 0, "1": 1},) * 4 + ({"0": 0, "1": 1, "?": 1},))),
+        env_column="env",
+        env_map=env_map,
+        missing_policy=draw(st.sampled_from(("drop_row", "missing_as_category"))),
+        missing_token=draw(st.sampled_from(("?", "", "nan", "-0", "a"))),
+    )
+    return header, rows, spec
+
+
+def outcome(ingest, *args, **kwargs):
+    """What ``ingest`` returns, bit for bit, or the type, message and line of its refusal."""
+    try:
+        result = ingest(*args, **kwargs)
+    except Exception as exc:  # every refusal is compared, whatever its type
+        return type(exc), str(exc), getattr(exc, "line", None)
+    if isinstance(result, EncodingSpec):
+        return result.to_json()
+    return (
+        result.features.shape,
+        result.features.tobytes(),
+        result.response.tobytes(),
+        list(result.env_of),
+        result.environments,
+        result.column_names,
+        result.column_origin,
+    )
+
+
+@TABLES
+@given(raw_tables())
+def test_encode_table_matches_the_row_wise_reference(table):
+    assert outcome(encode_table, *table) == outcome(encode_rows, *table)
+
+
+@TABLES
+@given(raw_tables(), st.sampled_from((None, "t", "zz")), st.booleans())
+def test_sniff_table_matches_the_row_wise_reference(table, test_env, given_map):
+    header, rows, _ = table
+    kwargs = dict(env_column="env", response_column="y", test_env=test_env,
+                  response_map={"0": 0, "1": 1} if given_map else None)
+    expected = outcome(sniff_rows, header, rows, **kwargs)
+    assert outcome(sniff_table, header, rows, **kwargs) == expected

@@ -278,6 +278,14 @@ def test_sampler_draws_only_positive_probability_atoms():
             assert rows <= atoms
 
 
+def test_sampler_refuses_a_negative_row_count():
+    spec = tiny_matching_spec()
+    with pytest.raises(ValidationError, match="row count must be non-negative, got -1"):
+        sample_scm(spec, "e1", -1, seed=0)
+    with pytest.raises(ValidationError, match="row count must be non-negative, got -3"):
+        scm_dataset(spec, n_per_env=-3, seed=0, test_env="e2")
+
+
 def test_scm_dataset_wraps_sampler():
     spec = tiny_matching_spec()
     d = scm_dataset(spec, n_per_env=300, seed=5, test_env="e2")
