@@ -115,23 +115,19 @@ def fit_icp(
     )
 
 
-def predict_baseline(fitted, X) -> np.ndarray | None:
-    """Hard labels from a baseline fit; None when the fit abstained.
+def predict_baseline(fitted: IcpResult, X) -> np.ndarray | None:
+    """Hard labels from the invariant-set search; None when it abstained.
 
-    Accepts a LogisticModel (thresholds its probabilities at 1/2, ties to
-    class 1) or an IcpResult (predicts on the intersection columns).  X
-    must have as many columns as the data the model was fitted on.
+    Predicts on the intersection columns and thresholds the probabilities
+    at 1/2, ties to class 1.  X must have as many columns as the data the
+    search ran on.
     """
     X = np.asarray(X, dtype=float)
-    if isinstance(fitted, LogisticModel):
-        return (predict(fitted, X) >= 0.5).astype(np.int64)
-    if isinstance(fitted, IcpResult):
-        if X.ndim != 2 or X.shape[1] != fitted.m:
-            raise ValidationError(
-                f"X has shape {X.shape}; the search was fitted on {fitted.m} columns"
-            )
-        if fitted.abstained:
-            return None
-        cols = list(fitted.intersection)
-        return (predict(fitted.model, X[:, cols]) >= 0.5).astype(np.int64)
-    raise ValidationError(f"unknown baseline fit: {type(fitted).__name__}")
+    if not isinstance(fitted, IcpResult):
+        raise ValidationError(f"unknown baseline fit: {type(fitted).__name__}")
+    if X.ndim != 2 or X.shape[1] != fitted.m:
+        raise ValidationError(f"X has shape {X.shape}; the search was fitted on {fitted.m} columns")
+    if fitted.abstained:
+        return None
+    cols = list(fitted.intersection)
+    return (predict(fitted.model, X[:, cols]) >= 0.5).astype(np.int64)

@@ -230,7 +230,7 @@ class TrainingView:
 
         ``block`` indexes ``env_features``, or is ``TARGET`` for the target
         rows.  Returns the fits and their design or spline basis, as
-        :func:`ols_columns` and :func:`~invarbin.regression.spline_columns`
+        :func:`ols_columns` and :func:`~invarbin.regression._spline_solve`
         do.  A column's spline term and basis depend only on its rows in the
         block, so each (block, column) is planned once and reused by every S.
         """

@@ -22,7 +22,7 @@ from dataclasses import asdict, astuple, fields
 import numpy as np
 
 from . import __version__
-from .baselines import fit_icp, fit_lr_baseline, predict_baseline
+from .baselines import fit_icp, fit_lr_baseline
 from .bimp import (
     VARIANT_LINEAR,
     bimp_to_dict,
@@ -260,91 +260,65 @@ def _resolve_methods(raw: str) -> list[str]:
     return out
 
 
-def _run_method(method: str, d: MultiEnvDataset, args, cap=None, replicate: int = 0) -> dict:
+def _run_method(
+    method: str, d: MultiEnvDataset, args, cap=None, replicate: int = 0
+) -> tuple[object, np.ndarray | None, np.ndarray | None, RunSummary]:
     """Fit one method, predict the test environment, score the predictions.
 
+    Returns ``(model, probs, fallback, summary)``.  ``probs`` is None when
+    the method abstained; ``fallback`` flags bimp's base-rate rows and is
+    None for the baselines.  Labels are ``probs >= 0.5``, ties to class 1.
     ``cap`` bounds the conditioning sets when ``--max-subset-size`` is unset.
     """
     cap = cap if args.max_subset_size is None else args.max_subset_size
     test = test_subset(d)
     started = time.perf_counter()
-    result: dict = {
-        "method": method,
-        "abstained": False,
-        "n_pairs": 0,
-        "probs": None,
-        "labels": None,
-        "fallback": None,
-        "model": None,
-    }
-    if method.startswith("bimp-"):
-        variant = method.split("-", 1)[1]
+    probs = fallback = None
+    n_pairs = 0
+    if method == "lr":
+        model = fit_lr_baseline(d)
+        probs = predict(model, test.features)
+    elif method == "icp":
+        model = fit_icp(d, alpha=args.alpha, max_subset_size=cap)
+        if not model.abstained:
+            probs = predict(model.model, test.features[:, list(model.intersection)])
+    else:
         model = fit_bimp(
             d,
             alpha=args.alpha,
-            variant=variant,
+            variant=method.split("-", 1)[1],
             max_subset_size=cap,
             tau=args.tau,
             eps_den=args.eps_den,
             bonferroni_scope=args.bonferroni_scope,
         )
-        result["model"] = model
-        result["abstained"] = model.abstained
-        result["n_pairs"] = len(model.pair_models)
+        n_pairs = len(model.pair_models)
         if not model.abstained:
             prediction = predict_bimp(model, test.features)
-            result["probs"] = prediction.probabilities
-            result["labels"] = prediction.labels
-            result["fallback"] = prediction.fallback
-    elif method == "lr":
-        model = fit_lr_baseline(d)
-        result["model"] = model
-        result["probs"] = predict(model, test.features)
-        result["labels"] = (result["probs"] >= 0.5).astype(np.int64)
-    elif method == "icp":
-        fitted = fit_icp(d, alpha=args.alpha, max_subset_size=cap)
-        result["model"] = fitted
-        result["abstained"] = fitted.abstained
-        if not fitted.abstained:
-            result["labels"] = predict_baseline(fitted, test.features)
-            cols = list(fitted.intersection)
-            result["probs"] = predict(fitted.model, test.features[:, cols])
-    else:
-        raise ValidationError(f"unknown method {method!r}")
+            probs, fallback = prediction.probabilities, prediction.fallback
     elapsed = time.perf_counter() - started
 
-    if result["abstained"]:
-        acc = err = None
-    else:
-        acc = accuracy(result["labels"], test.response)
-        err = mse(result["probs"], test.response)
-    result["summary"] = RunSummary(
+    acc = err = None
+    if probs is not None:
+        acc = accuracy((probs >= 0.5).astype(np.int64), test.response)
+        err = mse(probs, test.response)
+    summary = RunSummary(
         method=method,
         replicate=replicate,
         accuracy=acc,
         mse=err,
-        abstained=result["abstained"],
-        n_pairs=result["n_pairs"],
+        abstained=probs is None,
+        n_pairs=n_pairs,
         seconds=elapsed if args.timing else 0.0,
     )
-    return result
+    return model, probs, fallback, summary
 
 
-def _write_predictions(path: str, result: dict) -> None:
-    rows = []
-    if not result["abstained"]:
-        probs = result["probs"]
-        labels = result["labels"]
-        fallback = result["fallback"]
-        for i in range(len(labels)):
-            rows.append(
-                [
-                    i,
-                    probs[i],
-                    int(labels[i]),
-                    bool(fallback[i]) if fallback is not None else False,
-                ]
-            )
+def _write_predictions(path: str, probs, fallback) -> None:
+    """One row per test row, none when the method abstained."""
+    probs = () if probs is None else probs
+    flags = np.zeros(len(probs), dtype=bool) if fallback is None else fallback
+    rows = [[i, p, int(p >= 0.5), bool(f)] for i, (p, f) in enumerate(zip(probs, flags))]
     _write_csv(path, ["row", "prob", "label", "fallback"], rows)
 
 
@@ -415,12 +389,11 @@ def _load_datafiles(paths: list[str], args) -> MultiEnvDataset:
 def cmd_fit_predict(args) -> int:
     methods = _resolve_methods(args.methods)
     d = _load_datafiles(args.data, args)
-    results = [_run_method(method, d, args) for method in methods]
+    runs = [_run_method(method, d, args) for method in methods]
     os.makedirs(args.out, exist_ok=True)
-    for method, result in zip(methods, results):
-        _write_predictions(os.path.join(args.out, f"predictions_{method}.csv"), result)
+    for method, (model, probs, fallback, summary) in zip(methods, runs):
+        _write_predictions(os.path.join(args.out, f"predictions_{method}.csv"), probs, fallback)
         if method.startswith("bimp-"):
-            model = result["model"]
             _write_json(
                 os.path.join(args.out, f"ensemble_{method}.json"),
                 bimp_to_dict(model, d.column_names),
@@ -429,10 +402,9 @@ def cmd_fit_predict(args) -> int:
                 os.path.join(args.out, f"reports_{method}.json"),
                 [report_to_dict(r) for r in model.reports],
             )
-        status = "abstained" if result["abstained"] else f"acc={result['summary'].accuracy:.4f}"
+        status = "abstained" if summary.abstained else f"acc={summary.accuracy:.4f}"
         print(f"{method}: {status}")
-    summaries = [result["summary"] for result in results]
-    _write_records(os.path.join(args.out, "summary.csv"), RunSummary, summaries)
+    _write_records(os.path.join(args.out, "summary.csv"), RunSummary, [run[-1] for run in runs])
     return 0
 
 
@@ -492,7 +464,7 @@ def cmd_reproduce_fig2(args) -> int:
         cfg = draw_benchmark_config(args.seed + r, n_per_env=args.n_per_env)
         d = gen_benchmark(cfg)
         summaries.extend(
-            _run_method(method, d, args, cap=cfg.m - 1, replicate=r)["summary"]
+            _run_method(method, d, args, cap=cfg.m - 1, replicate=r)[-1]
             for method in METHODS
         )
     os.makedirs(args.out, exist_ok=True)
@@ -546,6 +518,21 @@ def _derived_dataset(columns: tuple[str, ...], derived, **sniff) -> MultiEnvData
     return encode_table(header, derived, spec)
 
 
+def _check_census_numbers(path: str, rows) -> None:
+    """Refuse a complete row (no "?" cell) whose numeric census cells do not parse."""
+    for line_no, cells in rows:
+        if "?" in cells:
+            continue
+        for column in ("education-num", "hours-per-week"):
+            value = cells[CENSUS_COLUMNS.index(column)]
+            try:
+                float(value)
+            except ValueError:
+                raise ValidationError(
+                    f"{path}:{line_no}: {column} is not numeric: {value!r}"
+                ) from None
+
+
 def _census_dataset(rows, split_column: str, predicate) -> MultiEnvDataset:
     """Rows with any missing cell are dropped; higher education forms the test env."""
     pos = {c: i for i, c in enumerate(CENSUS_COLUMNS)}
@@ -553,14 +540,7 @@ def _census_dataset(rows, split_column: str, predicate) -> MultiEnvDataset:
     for line_no, cells in rows:
         if "?" in cells:
             continue
-        try:
-            graduated = float(cells[pos["education-num"]]) >= 13.0
-        except ValueError:
-            raise ValidationError(
-                f"line {line_no}: education-num is not numeric: "
-                f"{cells[pos['education-num']]!r}"
-            ) from None
-        if graduated:
+        if float(cells[pos["education-num"]]) >= 13.0:
             env = "test"
         else:
             env = "env_yes" if predicate(cells[pos[split_column]]) else "env_no"
@@ -579,7 +559,7 @@ def _run_table(args, path: str, experiments) -> int:
     table_rows = []
     for name, d in experiments:
         for method in METHODS:
-            s = _run_method(method, d, args)["summary"]
+            s = _run_method(method, d, args)[-1]
             table_rows.append([name, method, s.accuracy, s.abstained, s.n_pairs])
             shown = "abstained" if s.abstained else f"{s.accuracy:.4f}"
             print(f"{name} / {method}: {shown}")
@@ -590,6 +570,7 @@ def _run_table(args, path: str, experiments) -> int:
 
 def cmd_reproduce_table1(args) -> int:
     rows = _read_raw_table(args.census_path, CENSUS_COLUMNS, CENSUS_INSTRUCTIONS)
+    _check_census_numbers(args.census_path, rows)
     experiments = (
         (name, _census_dataset(rows, split_column, predicate))
         for name, split_column, predicate in _census_experiments()

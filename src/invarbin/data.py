@@ -136,9 +136,6 @@ class MultiEnvDataset:
                 return e.label
         return None
 
-    def env_sizes(self) -> dict[str, int]:
-        return {e.label: int(np.count_nonzero(self.env_of == e.label)) for e in self.environments}
-
     def rows_in(self, label: str) -> np.ndarray:
         if label not in {e.label for e in self.environments}:
             raise UnknownEnvironmentError(f"unknown environment {label!r}")

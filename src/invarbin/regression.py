@@ -9,7 +9,7 @@ left unpenalized, so it extrapolates linearly outside the training range.
 The logistic fit is a damped Newton iteration with step halving; it stops
 at a small gradient, or once a step can no longer move the coefficients.
 OLS and the additive model are the one-target case of :func:`ols_columns`
-and :func:`spline_columns`, which fit several targets on the same
+and :func:`_spline_solve`, which fit several targets on the same
 regressors with one solve.
 """
 
@@ -230,7 +230,7 @@ def _term_width(term: SplineTerm) -> int:
 
 
 def _spline_plan(x: np.ndarray, n_knots: int = _SPLINE_KNOTS) -> tuple[SplineTerm, np.ndarray]:
-    """Plan step of :func:`spline_columns` for one column: its term and basis block.
+    """Plan step of an additive spline fit for one column: its term and basis block.
 
     Both depend on that column's rows alone, so a caller fitting many
     conditioning sets on the same rows can plan each column once.
@@ -242,7 +242,7 @@ def _spline_plan(x: np.ndarray, n_knots: int = _SPLINE_KNOTS) -> tuple[SplineTer
 def _spline_solve(
     planned: Sequence[tuple[SplineTerm, np.ndarray]], Y: np.ndarray, lam: float = _SPLINE_LAMBDA
 ) -> tuple[ColumnsFit, np.ndarray]:
-    """Solve step of :func:`spline_columns`: one ridge solve on planned columns."""
+    """Solve step: every column of Y in one ridge solve; returns the fits and the basis."""
     n = Y.shape[0]
     if n < 2:
         raise InsufficientDataError(f"fit_spline_additive needs n >= 2 rows, got {n}")
@@ -259,25 +259,6 @@ def _spline_solve(
     return ColumnsFit(coef=coef, terms=terms, lam=lam), basis
 
 
-def spline_columns(
-    X: np.ndarray, Y: np.ndarray, n_knots: int = _SPLINE_KNOTS, lam: float = _SPLINE_LAMBDA
-) -> tuple[ColumnsFit, np.ndarray]:
-    """Additive spline fits of every column of Y on X, in one ridge solve.
-
-    The basis (knots, term kinds) is planned from X alone, so all columns
-    share one augmented system; returns the fits and the basis on the rows
-    of X, so ``basis @ fit.coef`` are the fitted values.  The kernel behind
-    :func:`fit_spline_additive`, whose docstring gives the model; X and Y
-    must be finite float arrays of shapes (n, p) and (n, t).
-    """
-    if not lam >= 0.0:
-        raise ValidationError(f"lam must be non-negative, got {lam!r}")
-    if n_knots < 1:
-        raise ValidationError(f"n_knots must be positive, got {n_knots!r}")
-    planned = [_spline_plan(X[:, j], n_knots) for j in range(X.shape[1])]
-    return _spline_solve(planned, Y, lam)
-
-
 def fit_spline_additive(
     X, y, n_knots: int = _SPLINE_KNOTS, lam: float = _SPLINE_LAMBDA
 ) -> AdditiveSplineModel:
@@ -290,7 +271,12 @@ def fit_spline_additive(
     penalized, so the fit is equivariant under shifts of y.
     """
     X, y = _check_design(X, y)
-    return spline_columns(X, y[:, None], n_knots=n_knots, lam=lam)[0].model(0)
+    if not lam >= 0.0:
+        raise ValidationError(f"lam must be non-negative, got {lam!r}")
+    if n_knots < 1:
+        raise ValidationError(f"n_knots must be positive, got {n_knots!r}")
+    planned = [_spline_plan(X[:, j], n_knots) for j in range(X.shape[1])]
+    return _spline_solve(planned, y[:, None], lam)[0].model(0)
 
 
 def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:

@@ -332,15 +332,13 @@ class ScmSpec:
         wanted = set(self.k_mechanism.r_parents) | set(self.q_names)
         return tuple(name for name in self.order if name in wanted)
 
-    def k_parents(self) -> tuple[str, ...]:
-        return (*self.k_mechanism.r_parents, TARGET)
-
 
 def descendants(spec: ScmSpec, name: str) -> set[str]:
     """Variables below ``name``: one pass over the validated topological order."""
     below: set[str] = set()
+    k_parents = (*spec.k_mechanism.r_parents, TARGET)
     for var in spec.order:
-        parents = spec.k_parents() if var == spec.k_name else spec.variables[var].parents
+        parents = k_parents if var == spec.k_name else spec.variables[var].parents
         if any(p == name or p in below for p in parents):
             below.add(var)
     return below

@@ -43,7 +43,7 @@ def test_lr_baseline_learns_pooled_logit():
     )
     model = fit_lr_baseline(d)
     assert np.asarray(model.coef) == pytest.approx([0.0, 1.0, -2.0], abs=0.12)
-    labels = predict_baseline(model, held_out_subset(d).features)
+    labels = predict(model, held_out_subset(d).features) >= 0.5
     truth = held_out_subset(d).response
     # logit scale sqrt(5) puts the oracle itself near 0.79 here
     assert float((labels == truth).mean()) > 0.75

@@ -3,14 +3,26 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from invarbin import cli, sniff_table
+from invarbin import (
+    cli,
+    encode_table,
+    fit_bimp,
+    fit_icp,
+    fit_lr_baseline,
+    predict,
+    predict_bimp,
+    sniff_table,
+)
+from invarbin import test_subset as held_out_subset
 from invarbin.cli import main
 from invarbin.data import _read_csv
+from test_baselines import stable_predictor_dataset
 
 
 def read_tree(root: str) -> dict[str, bytes]:
@@ -105,13 +117,19 @@ def test_fit_predict_rerun_is_byte_identical(simulated, tmp_path):
     assert read_tree(str(a)) == read_tree(str(b))
 
 
-def sniffed_spec(paths):
-    """The spec fit-predict sniffs from these files when given no --schema."""
+def read_rows(paths):
+    """The header and the numbered rows of these files, as fit-predict merges them."""
     rows = []
     for path in paths:
         header, file_rows = _read_csv(path)
         rows += file_rows
-    return sniff_table(header, rows, env_column="env", response_column="y", test_env="test")
+    return header, rows
+
+
+def sniffed_spec(paths, test_env="test"):
+    """The spec fit-predict sniffs from these files when given no --schema."""
+    header, rows = read_rows(paths)
+    return sniff_table(header, rows, env_column="env", response_column="y", test_env=test_env)
 
 
 def test_fit_predict_with_the_sniffed_schema_is_byte_identical(simulated, tmp_path, capsys):
@@ -147,6 +165,59 @@ def test_fit_predict_bimp_gam_writes_its_predictions(simulated, tmp_path):
     )
     assert code == 0
     assert "predictions_bimp-gam.csv" in os.listdir(out)
+
+
+def library_predictions(d, alpha):
+    """Each method's (probabilities, fallback flags) on the test rows; None if it abstained."""
+    X = held_out_subset(d).features
+    no_fallback = np.zeros(len(X), dtype=bool)
+    out = {"lr": (predict(fit_lr_baseline(d), X), no_fallback), "icp": None}
+    icp = fit_icp(d, alpha=alpha)
+    if not icp.abstained:
+        out["icp"] = (predict(icp.model, X[:, list(icp.intersection)]), no_fallback)
+    for variant in ("linear", "gam"):
+        model = fit_bimp(d, alpha=alpha, variant=variant)
+        out[f"bimp-{variant}"] = None
+        if not model.abstained:
+            prediction = predict_bimp(model, X)
+            out[f"bimp-{variant}"] = (prediction.probabilities, prediction.fallback)
+    return out
+
+
+def test_fit_predict_writes_the_library_predictions(tmp_path):
+    # both bimp variants abstain on the two-column stable-predictor data, so a
+    # simulated replicate, where all four methods predict, carries their rows
+    stable = tmp_path / "stable.csv"
+    d = stable_predictor_dataset()
+    with open(stable, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["env", "y", *d.column_names])
+        for env, y, x in zip(d.env_of, d.response, d.features):
+            writer.writerow([env, int(y), *(repr(float(v)) for v in x)])
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--out", str(sim), "--seed", "4", "--m", "3",
+                 "--n-per-env", "200"]) == 0
+    simulated = sorted(str(p) for p in sim.glob("rep000_*.csv"))
+    predicted = set()
+    for name, paths, test_env in (("stable", [str(stable)], "t"), ("sim", simulated, "test")):
+        out = tmp_path / f"run-{name}"
+        assert main(["fit-predict", "--data", *paths, "--test-env", test_env, "--alpha", "0.05",
+                     "--methods", ",".join(cli.METHODS), "--out", str(out)]) == 0
+        d = encode_table(*read_rows(paths), sniffed_spec(paths, test_env))
+        for method, expected in library_predictions(d, alpha=0.05).items():
+            with open(out / f"predictions_{method}.csv", newline="", encoding="utf-8") as fh:
+                header, *rows = list(csv.reader(fh))
+            assert header == ["row", "prob", "label", "fallback"]
+            if expected is None:
+                assert rows == [], (name, method)
+                continue
+            predicted.add(method)
+            probs, fallback = expected
+            assert [row[0] for row in rows] == [str(i) for i in range(len(probs))]
+            assert [row[1] for row in rows] == [repr(float(p)) for p in probs], (name, method)
+            assert all(label == str(int(float(p) >= 0.5)) for _, p, label, _ in rows)
+            assert [row[3] for row in rows] == ["true" if f else "false" for f in fallback]
+    assert predicted == set(cli.METHODS)
 
 
 def test_fit_predict_unknown_method_exits_one(simulated, tmp_path, capsys):
@@ -332,7 +403,7 @@ def test_reproduce_table1_end_to_end(tmp_path):
             else:
                 split = predicate(cells[cli.CENSUS_COLUMNS.index(split_column)])
                 expected["env_yes" if split else "env_no"] += 1
-        assert d.env_sizes() == expected
+        assert Counter(d.env_of) == expected
         origins = set(d.column_origin.values())
         for excluded in ("income", "education", "education-num", split_column):
             assert excluded not in origins
@@ -356,7 +427,7 @@ def test_reproduce_table2_end_to_end(tmp_path):
     for test_habitat in ("m", "p"):
         d = cli._mushroom_dataset(rows, test_habitat)
         kept = [cells[habitat] for _, cells in rows if cells[habitat] in ("g", "u", test_habitat)]
-        assert d.env_sizes() == {
+        assert Counter(d.env_of) == {
             "grasses": kept.count("g"),
             "urban": kept.count("u"),
             "test": kept.count(test_habitat),
@@ -430,11 +501,15 @@ ONE_TRAINING_ENV = "env,y,x1\n" + "".join(
          "line 3: expected 3 fields, found 2"),
         (["fit-predict", "--data", ONE_TRAINING_ENV], "at least two training environments"),
         (["fit-predict", "--methods", "forest"], "unknown method 'forest'"),
+        (["reproduce", "table1", "hours-per-week", "forty"],
+         "adult.data:2: hours-per-week is not numeric: 'forty'"),
+        (["reproduce", "table1", "education-num", "ten"],
+         "adult.data:2: education-num is not numeric: 'ten'"),
     ],
     ids=["simulate-seed", "fig1-seed", "fig2-seed", "schema-not-json", "schema-no-kinds",
          "schema-a-list", "schema-wrong-type", "simulate-replicates", "fig2-replicates",
          "simulate-rows", "simulate-m", "fig1-rows", "fig2-rows", "data-short-row",
-         "data-one-training-env", "unknown-method"],
+         "data-one-training-env", "unknown-method", "table1-hours", "table1-education"],
 )
 def test_bad_outside_input_exits_one_with_one_error_line(argv, message, simulated, tmp_path):
     # a separate interpreter, so an exception that escapes main shows as a traceback
@@ -446,6 +521,17 @@ def test_bad_outside_input_exits_one_with_one_error_line(argv, message, simulate
             path.write_text(value, encoding="utf-8")
             value = str(path)
         argv = ["fit-predict", *data, flag, value]
+    elif argv[1] == "table1":
+        # line 2 of the fixture is a complete row; one of its numeric cells is replaced
+        column, value = argv[2:]
+        census = tmp_path / "adult.data"
+        write_census_fixture(census)
+        lines = census.read_text(encoding="utf-8").split("\n")
+        cells = lines[1].split(", ")
+        cells[cli.CENSUS_COLUMNS.index(column)] = value
+        lines[1] = ", ".join(cells)
+        census.write_text("\n".join(lines), encoding="utf-8")
+        argv = ["reproduce", "table1", "--census-path", str(census), "--max-subset-size", "1"]
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -461,6 +547,7 @@ def test_bad_outside_input_exits_one_with_one_error_line(argv, message, simulate
     errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and message in errors[0], done.stderr
     assert "Traceback" not in done.stderr
+    assert done.stdout == ""
     # a refused run leaves no output directory behind
     assert not (tmp_path / "out").exists()
 

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ def test_dataset_basic_properties():
     assert d.m == 2
     assert d.train_labels == ("a", "b")
     assert d.test_label == "t"
-    assert d.env_sizes() == {"a": 2, "b": 2, "t": 2}
+    assert Counter(d.env_of) == {"a": 2, "b": 2, "t": 2}
 
 
 def test_dataset_arrays_are_read_only():
@@ -71,7 +72,7 @@ def test_rows_in_unknown_label():
 def test_take_keeps_invariants_and_checks_the_mask():
     d = small_dataset()
     sub = d.take(d.response == 1)
-    assert sub.n == 3 and sub.env_sizes() == {"a": 1, "b": 1, "t": 1}
+    assert sub.n == 3 and Counter(sub.env_of) == {"a": 1, "b": 1, "t": 1}
     assert sub.environments == d.environments and sub.column_names == d.column_names
     with pytest.raises(ValueError):
         sub.features[0, 0] = 9.0

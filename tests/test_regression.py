@@ -27,7 +27,6 @@ from invarbin.regression import (
     _spline_plan,
     _spline_solve,
     ols_columns,
-    spline_columns,
 )
 from oracles import log_likelihood
 
@@ -323,11 +322,16 @@ def test_spline_model_repr_types():
     assert len(model.terms) == 1
 
 
+def planned_spline_columns(X, Y):
+    """Every column of Y on X: one plan per column of X, then one ridge solve."""
+    return _spline_solve([_spline_plan(X[:, j]) for j in range(X.shape[1])], Y)
+
+
 def test_column_fits_match_one_column_fits():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(150, 3))
     Y = X @ rng.normal(size=(3, 4)) + np.sin(3.0 * X[:, :1]) + rng.normal(size=(150, 4))
-    for columns, single in ((ols_columns, fit_ols), (spline_columns, fit_spline_additive)):
+    for columns, single in ((ols_columns, fit_ols), (planned_spline_columns, fit_spline_additive)):
         fit, design = columns(X, Y)
         fitted = design @ fit.coef
         for j in range(Y.shape[1]):
@@ -364,7 +368,7 @@ def test_log_likelihood_matches_logaddexp_oracle():
             assert abs(got - want) <= 4 * np.spacing(abs(want))
 
 
-def test_planned_spline_solve_matches_spline_columns_bitwise():
+def test_planned_spline_solve_matches_one_target_fits_bitwise():
     rng = np.random.default_rng(17)
     n = 120
     X = np.column_stack([
@@ -374,11 +378,13 @@ def test_planned_spline_solve_matches_spline_columns_bitwise():
         rng.normal(size=n),  # continuous
     ])
     Y = np.sin(X[:, 3:]) + X[:, 1:2] + rng.normal(size=(n, 3))
-    fit, basis = spline_columns(X, Y)
+    fit, basis = planned_spline_columns(X, Y)
     planned = [_spline_plan(X[:, j]) for j in range(X.shape[1])]
     assert [term.kind for term, _ in planned] == ["constant", "linear", "linear", "spline"]
-    again, again_basis = _spline_solve(planned, Y)
-    assert again.terms == fit.terms
-    assert again.lam == fit.lam
-    assert again.coef.tobytes() == fit.coef.tobytes()
-    assert again_basis.tobytes() == basis.tobytes()
+    # the plans are made once and reused for every target, as the pair fits do
+    for j in range(Y.shape[1]):
+        again, again_basis = _spline_solve(planned, Y[:, j : j + 1])
+        assert again.terms == fit.terms
+        assert again.lam == fit.lam
+        assert again_basis.tobytes() == basis.tobytes()
+        assert repr(again.model(0)) == repr(fit_spline_additive(X, Y[:, j]))

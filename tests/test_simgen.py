@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -54,7 +55,7 @@ def test_every_export_resolves():
 def test_anchor_dataset_shape_and_roles():
     d = gen_anchor(500, 1)
     assert d.column_names == ("x1", "x2", "x3")
-    assert d.env_sizes() == {"train1": 500, "train2": 500, "test": 500}
+    assert Counter(d.env_of) == {"train1": 500, "train2": 500, "test": 500}
     assert d.test_label == "test"
     assert set(np.unique(d.response)) <= {0, 1}
 
@@ -100,7 +101,7 @@ def test_benchmark_fixed_m_honored():
     assert cfg.m == 4
     d = gen_benchmark(cfg)
     assert d.column_names == ("x1", "x2", "x3", "x4")
-    assert d.env_sizes() == {"env1": 1000, "env2": 1000, "test": 1000}
+    assert Counter(d.env_of) == {"env1": 1000, "env2": 1000, "test": 1000}
 
 
 def test_benchmark_deterministic():
