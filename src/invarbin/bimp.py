@@ -41,11 +41,12 @@ from .invariance import (
 # fit_ols is not called here any more; it stays importable as bimp.fit_ols
 # because the benchmark's tracer self-test checks that binding.
 from .regression import (
+    _SPLINE_LAMBDA,
     ColumnsFit,
     SplineTerm,
     _check_design,
+    _ridge_solve,
     _spline_plan,
-    _spline_solve,
     fit_ols,  # noqa: F401
     model_to_dict,
     ols_columns,
@@ -57,6 +58,11 @@ VARIANT_GAM = "gam"
 
 _DEGENERATE_DROP_FRACTION = 0.5
 TARGET = -1  # the target rows' block index in TrainingView.fit_marginal
+# Rows per Householder update of a block's R factor.  The chunking bounds the
+# QR workspace (about three copies of the stacked rows), and with it peak
+# memory: 2,048 rows raised the peak RSS of a fit on a 95-column design by
+# about 1 MB, 512 rows did not, and ran no slower.
+_FACTOR_CHUNK_ROWS = 512
 
 
 def _matching_ratio(marginal, h0, h1, eps) -> tuple[np.ndarray, np.ndarray]:
@@ -169,6 +175,23 @@ class _GroupFit:
     thin: str | None
 
 
+@dataclass(frozen=True)
+class _BlockFactor:
+    """One block of rows' spline plans and the R factor of its full design.
+
+    The design is [1 | every column's planned basis | the raw columns].
+    Column j's basis is design columns ``start[j]:start[j + 1]``, and raw
+    column k is design column ``start[-1] + k``.  ``r`` keeps the top
+    ``start[-1]`` rows of the factor (fewer when the block has fewer rows):
+    the rows below are zero on every basis column, so they add only a
+    constant to each target's least-squares objective.
+    """
+
+    planned: tuple[tuple[SplineTerm, np.ndarray], ...]
+    start: np.ndarray
+    r: np.ndarray
+
+
 class TrainingView:
     """The arrays a matching-pairs fit reads for every pair, gathered once.
 
@@ -178,9 +201,13 @@ class TrainingView:
     ``d.train_labels[i]``, and ``spread`` the per-column standard deviation
     of the training features.  ``target`` is the test environment's feature
     block, gathered on first use.  :meth:`solve` keeps the
-    per-conditioning-set fits, so that all pairs sharing S cost one solve,
-    and :meth:`fit_marginal` keeps each column's spline plan per block of
-    rows, so that all conditioning sets share it.
+    per-conditioning-set fits, so that all pairs sharing S cost one solve.
+    For the additive spline marginals, each block of rows (the target or
+    one training environment) is planned and factored once: every column's
+    spline plan and one R factor of the block's full design, taken chunk by
+    chunk.  Each conditioning set's ridge solve then reads that factor, a
+    few dozen rows, instead of the block's rows.  The cache lives as long
+    as the view, one fit.
     """
 
     def __init__(self, d: MultiEnvDataset):
@@ -193,7 +220,7 @@ class TrainingView:
         self.spread = np.array([np.std(column) for column in train.features.T])
         self._dataset = d
         self._groups: dict[tuple[tuple[int, ...], str], _GroupFit] = {}
-        self._planned: dict[tuple[int, int], tuple[SplineTerm, np.ndarray]] = {}
+        self._factors: dict[int, _BlockFactor] = {}
 
     @cached_property
     def target(self) -> np.ndarray:
@@ -231,21 +258,45 @@ class TrainingView:
         ``block`` indexes ``env_features``, or is ``TARGET`` for the target
         rows.  Returns the fits and their design or spline basis, as
         :func:`ols_columns` and :func:`~invarbin.regression._spline_solve`
-        do.  A column's spline term and basis depend only on its rows in the
-        block, so each (block, column) is planned once and reused by every S.
+        do.  The linear fit is one tall least-squares solve.  The spline fit
+        is the ridge solve of :func:`~invarbin.regression._spline_solve`
+        taken on the block's R factor: the columns of S's basis and of ``ks``,
+        with the same minimiser as the tall solve.
         """
         _check_variant(variant)
         rows = self.target if block == TARGET else self.env_features[block]
         cols, ks = list(s), list(ks)
         if variant == VARIANT_LINEAR:
             return ols_columns(rows[:, cols], rows[:, ks])
-        planned = []
-        for j in cols:
-            key = (block, j)
-            if key not in self._planned:
-                self._planned[key] = _spline_plan(rows[:, j])
-            planned.append(self._planned[key])
-        return _spline_solve(planned, rows[:, ks])
+        factor = self._factor(block, rows)
+        start = factor.start
+        design = [0] + [i for j in cols for i in range(start[j], start[j + 1])]
+        targets = [start[-1] + k for k in ks]
+        coef = _ridge_solve(factor.r[:, design], factor.r[:, targets], _SPLINE_LAMBDA)
+        planned = [factor.planned[j] for j in cols]
+        basis = np.hstack([np.ones((rows.shape[0], 1))] + [b for _, b in planned])
+        terms = tuple(term for term, _ in planned)
+        return ColumnsFit(coef=coef, terms=terms, lam=_SPLINE_LAMBDA), basis
+
+    def _factor(self, block: int, rows: np.ndarray) -> _BlockFactor:
+        """The block's spline plans and R factor, made on first use."""
+        factor = self._factors.get(block)
+        if factor is not None:
+            return factor
+        n = rows.shape[0]
+        if n < 2:
+            raise InsufficientDataError(f"fit_spline_additive needs n >= 2 rows, got {n}")
+        planned = tuple(_spline_plan(column) for column in rows.T)
+        start = np.cumsum([1] + [basis.shape[1] for _, basis in planned])
+        r = np.empty((0, start[-1] + rows.shape[1]))
+        for lo in range(0, n, _FACTOR_CHUNK_ROWS):
+            hi = min(lo + _FACTOR_CHUNK_ROWS, n)
+            chunk = [np.ones((hi - lo, 1))] + [basis[lo:hi] for _, basis in planned] + [rows[lo:hi]]
+            # the chunk's design is freed before qr copies the stacked rows
+            r = np.linalg.qr(np.vstack([r, np.hstack(chunk)]), mode="r")[: start[-1]]
+        factor = _BlockFactor(planned=planned, start=start, r=r)
+        self._factors[block] = factor
+        return factor
 
 
 def fit_pair_model(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -519,18 +520,20 @@ def _derived_dataset(columns: tuple[str, ...], derived, **sniff) -> MultiEnvData
 
 
 def _check_census_numbers(path: str, rows) -> None:
-    """Refuse a complete row (no "?" cell) whose numeric census cells do not parse."""
+    """Refuse a complete row (no "?" cell) whose numeric census cells are not finite numbers."""
     for line_no, cells in rows:
         if "?" in cells:
             continue
         for column in ("education-num", "hours-per-week"):
             value = cells[CENSUS_COLUMNS.index(column)]
             try:
-                float(value)
+                number = float(value)
             except ValueError:
                 raise ValidationError(
                     f"{path}:{line_no}: {column} is not numeric: {value!r}"
                 ) from None
+            if not math.isfinite(number):
+                raise ValidationError(f"{path}:{line_no}: {column} is not finite: {value!r}")
 
 
 def _census_dataset(rows, split_column: str, predicate) -> MultiEnvDataset:

@@ -335,7 +335,8 @@ def encode_table(
 
     Cells are whitespace-stripped before any comparison.  Rows are dropped
     when their environment maps to role "drop" or when the missing policy
-    says so; every other unmappable value raises :class:`SchemaError`.
+    says so; every other unmappable value raises :class:`SchemaError`, as
+    does a numeric cell that is not a finite float (``nan``, ``inf``).
 
     A refusal names the first offending line in file order.  Within a line
     the environment comes first, then the response, then the columns in spec
@@ -386,6 +387,11 @@ def encode_table(
                                 (i, stage, f"column {col!r} has non-numeric value {cell!r}")
                             )
                             break
+            # rows after a non-numeric cell hold 0 here, and that cell's refusal comes first
+            for i in np.flatnonzero(keep & ~np.isfinite(values))[:1]:
+                refusals.append(
+                    (i, stage, f"column {col!r} has non-finite value {column[i].strip()!r}")
+                )
             features[:, cursor] = values
             cursor += 1
         else:

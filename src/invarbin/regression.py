@@ -10,7 +10,11 @@ The logistic fit is a damped Newton iteration with step halving; it stops
 at a small gradient, or once a step can no longer move the coefficients.
 OLS and the additive model are the one-target case of :func:`ols_columns`
 and :func:`_spline_solve`, which fit several targets on the same
-regressors with one solve.
+regressors with one solve.  The ridge formula itself is
+:func:`_ridge_solve`: :func:`_spline_solve` applies it to the tall basis,
+and the matching-pairs fit applies it to an R factor of that basis (a few
+dozen rows), which has the same minimiser.  OLS stays one tall solve, whose
+minimum-norm answer on a rank-deficient design an R factor would not keep.
 """
 
 from __future__ import annotations
@@ -247,16 +251,27 @@ def _spline_solve(
     if n < 2:
         raise InsufficientDataError(f"fit_spline_additive needs n >= 2 rows, got {n}")
     basis = np.hstack([np.ones((n, 1))] + [block for _, block in planned])
-    q = basis.shape[1]
+    terms = tuple(term for term, _ in planned)
+    return ColumnsFit(coef=_ridge_solve(basis, Y, lam), terms=terms, lam=lam), basis
 
-    # Augmented system: ridge on every basis coefficient except the intercept.
+
+def _ridge_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
+    """Ridge coefficients of every column of ``targets`` on ``design``.
+
+    Column 0 of the design is the intercept and is left unpenalized; every
+    other coefficient carries the penalty ``lam``.  The penalty rows make the
+    augmented system full rank whenever the intercept column is non-zero.
+    ``design`` and ``targets`` may be the tall basis and targets, or the
+    matching columns of an R factor of [basis | targets]: both have the same
+    minimiser.
+    """
+    q = design.shape[1]
     penalty = np.sqrt(lam) * np.eye(q)
     penalty[0, 0] = 0.0
-    augmented = np.vstack([basis, penalty])
-    target = np.vstack([Y, np.zeros((q, Y.shape[1]))])
+    augmented = np.vstack([design, penalty])
+    target = np.vstack([targets, np.zeros((q, targets.shape[1]))])
     coef, _, _, _ = np.linalg.lstsq(augmented, target, rcond=None)
-    terms = tuple(term for term, _ in planned)
-    return ColumnsFit(coef=coef, terms=terms, lam=lam), basis
+    return coef
 
 
 def fit_spline_additive(
@@ -313,10 +328,9 @@ def fit_logistic(X, y) -> LogisticModel:
     Both classes must be present.
     """
     X, y = _check_design(X, y)
-    classes = np.unique(y)
-    if not np.all(np.isin(classes, (0.0, 1.0))):
+    if not np.all((y == 0.0) | (y == 1.0)):
         raise ValidationError("fit_logistic requires y in {0, 1}")
-    if classes.size < 2:
+    if not (y.any() and not y.all()):
         raise DegenerateResponseError("fit_logistic requires both classes present")
 
     n = X.shape[0]

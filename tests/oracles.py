@@ -210,6 +210,10 @@ def encode_rows(header, rows, spec) -> MultiEnvDataset:
                     raise SchemaError(
                         f"line {line_no}: column {col!r} has non-numeric value {cell!r}"
                     ) from None
+                if not math.isfinite(values[-1]):
+                    raise SchemaError(
+                        f"line {line_no}: column {col!r} has non-finite value {cell!r}"
+                    )
             else:
                 if missing and spec.missing_policy == "drop_row":
                     break

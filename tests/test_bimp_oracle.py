@@ -147,27 +147,129 @@ def test_batched_fit_matches_per_pair_reference(case, variant):
 @pytest.mark.parametrize("variant", ["linear", "gam"])
 def test_post_screen_solves_scale_with_conditioning_sets(monkeypatch, variant):
     d = one_hot_dataset()
-    real_lstsq, real_screen = np.linalg.lstsq, bimp.batched_residual_tests
-    calls = {"all": 0, "screen": 0}
+    chunk = 128  # below the 300 rows of each block, so a block's factor takes 3 updates
+    monkeypatch.setattr(bimp, "_FACTOR_CHUNK_ROWS", chunk)
+    real = {"lstsq": np.linalg.lstsq, "qr": np.linalg.qr}
+    real_screen = bimp.batched_residual_tests
+    calls = {name: 0 for name in real}
+    at_screen = {}
 
-    def counting_lstsq(*args, **kwargs):
-        calls["all"] += 1
-        return real_lstsq(*args, **kwargs)
+    def counting(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real[name](*args, **kwargs)
+
+        return call
 
     def screen(*args, **kwargs):
         reports = real_screen(*args, **kwargs)
-        calls["screen"] = calls["all"]
+        at_screen.update(calls)
         return reports
 
-    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    for name in real:
+        monkeypatch.setattr(np.linalg, name, counting(name))
     monkeypatch.setattr(bimp, "batched_residual_tests", screen)
     model = fit_bimp(d, variant=variant, max_subset_size=2)
     accepted = model.counts["accepted"]
     groups = len({r.pair.s for r in model.reports if r.accepted})
     # per S: h0 and h1, the target marginal, one marginal per training env
     bound = (3 + len(d.train_labels)) * groups
-    assert calls["all"] - calls["screen"] <= bound
+    assert calls["lstsq"] - at_screen["lstsq"] <= bound
     assert accepted > bound  # a per-pair path would exceed the bound
+    # a spline marginal factors each block of rows once, whatever the number of S
+    blocks = [int(d.rows_in(label).sum()) for label in (*d.train_labels, d.test_label)]
+    updates = sum(math.ceil(n / chunk) for n in blocks)
+    assert calls["qr"] - at_screen["qr"] == (updates if variant == "gam" else 0)
+    assert groups > updates  # a factor per S would exceed the count
+
+
+def tall_ridge(basis, Y, lam):
+    """The ridge formula spelled out: every coefficient but the intercept's is penalised."""
+    q = basis.shape[1]
+    penalty = np.diag(np.r_[0.0, np.full(q - 1, np.sqrt(lam))])
+    augmented = np.vstack([basis, penalty])
+    return np.linalg.lstsq(augmented, np.vstack([Y, np.zeros((q, Y.shape[1]))]), rcond=None)[0]
+
+
+def factor_dataset(seed=5):
+    """Three blocks of rows for the R-factor path of the spline marginals.
+
+    The target spans three factor updates and a remainder, e1 has fewer rows
+    than its full basis has columns, e2 lies between.  Columns: continuous
+    (a spline term), binary (linear), constant, and the indicators of levels
+    1-3 of a categorical whose levels 0 and 3 never occur: indicators 1 and
+    2 sum to the intercept, so every block's full basis is rank-deficient.
+    """
+    chunk = bimp._FACTOR_CHUNK_ROWS
+    rng = np.random.default_rng(seed)
+    sizes = {"e1": 6, "e2": 300, "test": 3 * chunk + 101}
+    env = np.concatenate([np.full(n, label, dtype=object) for label, n in sizes.items()])
+    n = env.size
+    level = rng.integers(1, 3, size=n)
+    binary = rng.integers(0, 2, size=n).astype(float)
+    binary[:6] = [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]  # e1's rows hold both values
+    x = rng.normal(size=n)
+    features = np.column_stack(
+        [x, binary, np.full(n, 0.5), *(level[:, None] == np.arange(1, 4)).T.astype(float)]
+    )
+    return MultiEnvDataset(
+        features=features,
+        response=(x + binary + rng.normal(size=n) > 0.5).astype(np.int64),
+        env_of=env,
+        environments=(
+            Environment("e1", ROLE_TRAIN),
+            Environment("e2", ROLE_TRAIN),
+            Environment("test", ROLE_TEST),
+        ),
+        column_names=("x", "b", "c", "lv1", "lv2", "lv3"),
+    )
+
+
+def test_factor_solve_matches_the_tall_spline_solve(monkeypatch):
+    d = factor_dataset()
+    view = bimp.TrainingView(d)
+    chunk = bimp._FACTOR_CHUNK_ROWS
+    blocks = {bimp.TARGET: view.target, 0: view.env_features[0], 1: view.env_features[1]}
+    assert blocks[bimp.TARGET].shape[0] > 3 * chunk and blocks[bimp.TARGET].shape[0] % chunk
+    real_lstsq = np.linalg.lstsq
+    shapes = []
+
+    def recording(a, b, *args, **kwargs):
+        shapes.append(a.shape)
+        return real_lstsq(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    # the last set holds both present indicators: its own design is rank-deficient
+    sets = [(), (0,), (1, 3), (0, 2, 4, 5), (1, 3, 4)]
+    for block, rows in blocks.items():
+        n = rows.shape[0]
+        planned = [regression._spline_plan(column) for column in rows.T]
+        assert {term.kind for term, _ in planned} == {"constant", "linear", "spline"}
+        full = np.hstack([np.ones((n, 1))] + [basis for _, basis in planned])
+        width = full.shape[1]
+        assert np.linalg.matrix_rank(full) < width  # the present indicators sum to 1
+        assert 2 <= n < width if block == 0 else n > width  # e1 is thinner than its basis
+        for s in sets:
+            ks = [k for k in range(d.m) if k not in s]
+            shapes.clear()
+            got, basis = view.fit_marginal(block, s, ks, "gam")
+            # one ridge solve on the factor's rows, not on the block's
+            assert shapes == [(min(n, width) + basis.shape[1], basis.shape[1])]
+            want, tall = regression._spline_solve([planned[j] for j in s], rows[:, ks])
+            assert want.coef.tobytes() == tall_ridge(tall, rows[:, ks], want.lam).tobytes()
+            assert basis.tobytes() == tall.tobytes()
+            assert (got.terms, got.lam) == (want.terms, want.lam)
+            scale = np.abs(rows[:, ks]).max(axis=0)
+            assert np.all(np.abs(basis @ got.coef - tall @ want.coef) <= 1e-10 * scale), (block, s)
+            if np.linalg.matrix_rank(tall) < tall.shape[1]:
+                # Along the design's null direction only the penalty fixes the
+                # coefficients: against the exact rational ridge solution both
+                # solves are off there by 1e-10 to 1e-8 of the largest one.
+                # The fitted values above are still compared.
+                assert s == sets[-1]
+                continue
+            scale = np.abs(want.coef).max(axis=0)
+            assert np.all(np.abs(got.coef - want.coef) <= 1e-10 * scale), (block, s)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -478,6 +478,12 @@ def test_flag_the_command_does_not_read_exits_two(argv, simulated, tmp_path, cap
 ONE_TRAINING_ENV = "env,y,x1\n" + "".join(
     f"{env},{i % 2},{i / 10}\n" for env in ("env1", "test") for i in range(8)
 )
+# line 14 is env2's fifth row
+NON_FINITE_CELL = "env,y,x1\n" + "".join(
+    f"{env},{i % 2},{'nan' if (env, i) == ('env2', 4) else i / 10}\n"
+    for env in ("env1", "env2", "test")
+    for i in range(8)
+)
 
 
 @pytest.mark.parametrize(
@@ -505,11 +511,18 @@ ONE_TRAINING_ENV = "env,y,x1\n" + "".join(
          "adult.data:2: hours-per-week is not numeric: 'forty'"),
         (["reproduce", "table1", "education-num", "ten"],
          "adult.data:2: education-num is not numeric: 'ten'"),
+        (["fit-predict", "--data", NON_FINITE_CELL],
+         "line 14: column 'x1' has non-finite value 'nan'"),
+        (["reproduce", "table1", "hours-per-week", "inf"],
+         "adult.data:2: hours-per-week is not finite: 'inf'"),
+        (["reproduce", "table1", "education-num", "nan"],
+         "adult.data:2: education-num is not finite: 'nan'"),
     ],
     ids=["simulate-seed", "fig1-seed", "fig2-seed", "schema-not-json", "schema-no-kinds",
          "schema-a-list", "schema-wrong-type", "simulate-replicates", "fig2-replicates",
          "simulate-rows", "simulate-m", "fig1-rows", "fig2-rows", "data-short-row",
-         "data-one-training-env", "unknown-method", "table1-hours", "table1-education"],
+         "data-one-training-env", "unknown-method", "table1-hours", "table1-education",
+         "data-non-finite", "table1-hours-inf", "table1-education-nan"],
 )
 def test_bad_outside_input_exits_one_with_one_error_line(argv, message, simulated, tmp_path):
     # a separate interpreter, so an exception that escapes main shows as a traceback

@@ -333,6 +333,22 @@ def test_encode_names_the_line_of_a_non_numeric_cell():
     assert message == "line 7: column 'b' has non-numeric value 'x'"
 
 
+@pytest.mark.parametrize("cell", ["nan", " -inf "])
+def test_encode_names_the_line_of_a_non_finite_cell(cell):
+    value = repr(cell.strip())
+    # "?" sends column b through the row-by-row parse; column a parses in one pass
+    per_row = refusal(
+        ["1", cell, "red", "no", "junk"],  # dropped by its environment's role
+        [cell, "?", "red", "no", "one"],  # dropped by its missing b, before a
+        *GOOD_ROWS,
+        ["1", cell, "red", "no", "two"],
+    )
+    assert per_row == f"line 7: column 'b' has non-finite value {value}"
+    # file order first: a's line 5 comes before b's non-numeric line 6
+    one_pass = refusal(*GOOD_ROWS, [cell, "2", "red", "no", "two"], ["1", "x", "red", "no", "one"])
+    assert one_pass == f"line 5: column 'a' has non-finite value {value}"
+
+
 def test_encode_names_the_line_of_an_unmapped_response():
     message = refusal(
         ["1", "2", "red", "maybe", "junk"],  # dropped by its environment's role

@@ -7,6 +7,7 @@ import pytest
 
 from invarbin import (
     AdditiveSplineModel,
+    DegenerateResponseError,
     InsufficientDataError,
     LinearModel,
     LogisticModel,
@@ -274,6 +275,23 @@ def test_logistic_needs_both_classes():
 
     with pytest.raises(DegenerateResponseError):
         fit_logistic(np.ones((4, 1)), np.ones(4, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "y, error, message",
+    [
+        ([0, 1, 2, 1], ValidationError, "requires y in {0, 1}"),
+        ([0, 1, 0.5, 1], ValidationError, "requires y in {0, 1}"),
+        ([1, 1, 1, 1], DegenerateResponseError, "both classes"),
+        ([0, 0, 0, 0], DegenerateResponseError, "both classes"),
+        ([], DegenerateResponseError, "both classes"),
+    ],
+    ids=["label-2", "label-half", "only-ones", "only-zeros", "empty"],
+)
+def test_logistic_refuses_a_response_without_both_binary_classes(y, error, message):
+    y = np.asarray(y, dtype=float)
+    with pytest.raises(error, match=message):
+        fit_logistic(np.ones((y.size, 1)), y)
 
 
 def test_predict_checks_column_count():
