@@ -45,11 +45,11 @@ from .regression import (
     ColumnsFit,
     SplineTerm,
     _check_design,
+    _check_rows,
     _ridge_solve,
     _spline_plan,
     fit_ols,  # noqa: F401
     model_to_dict,
-    ols_columns,
     predict,
 )
 
@@ -177,14 +177,14 @@ class _GroupFit:
 
 @dataclass(frozen=True)
 class _BlockFactor:
-    """One block of rows' spline plans and the R factor of its full design.
+    """One block of rows' spline plans and the R factor of its design.
 
-    The design is [1 | every column's planned basis | the raw columns].
-    Column j's basis is design columns ``start[j]:start[j + 1]``, and raw
-    column k is design column ``start[-1] + k``.  ``r`` keeps the top
-    ``start[-1]`` rows of the factor (fewer when the block has fewer rows):
-    the rows below are zero on every basis column, so they add only a
-    constant to each target's least-squares objective.
+    The design is [1 | every column's planned basis | the raw columns] for
+    splines, and [1 | the raw columns] for OLS, which plans nothing.  Column
+    j's regressors are design columns ``start[j]:start[j + 1]``.  ``r``
+    keeps the top ``start[-1]`` rows of the factor (fewer when the block has
+    fewer rows), every row for OLS: the rows below are zero on every basis
+    column, so they add only a constant to each target's objective.
     """
 
     planned: tuple[tuple[SplineTerm, np.ndarray], ...]
@@ -202,12 +202,12 @@ class TrainingView:
     of the training features.  ``target`` is the test environment's feature
     block, gathered on first use.  :meth:`solve` keeps the
     per-conditioning-set fits, so that all pairs sharing S cost one solve.
-    For the additive spline marginals, each block of rows (the target or
-    one training environment) is planned and factored once: every column's
-    spline plan and one R factor of the block's full design, taken chunk by
-    chunk.  Each conditioning set's ridge solve then reads that factor, a
-    few dozen rows, instead of the block's rows.  The cache lives as long
-    as the view, one fit.
+    Every fit after the screen reads a factor: each block of rows (a class,
+    the target or one training environment) is planned and factored once
+    per kind of fit, with one R factor of the block's design taken chunk by
+    chunk.  Each conditioning set's solve then reads that factor, a few
+    dozen rows, instead of the block's rows.  The cache lives as long as
+    the view, one fit.
     """
 
     def __init__(self, d: MultiEnvDataset):
@@ -220,7 +220,7 @@ class TrainingView:
         self.spread = np.array([np.std(column) for column in train.features.T])
         self._dataset = d
         self._groups: dict[tuple[tuple[int, ...], str], _GroupFit] = {}
-        self._factors: dict[int, _BlockFactor] = {}
+        self._factors: dict[tuple[object, bool], _BlockFactor] = {}
 
     @cached_property
     def target(self) -> np.ndarray:
@@ -238,11 +238,11 @@ class TrainingView:
             return group
         if any(rows.shape[0] == 0 for rows in self.class_rows):
             raise DegenerateResponseError("training rows contain a single class")
-        cols, ks = list(s), list(ks)
-        h0, h1 = (ols_columns(rows[:, cols], rows[:, ks])[0] for rows in self.class_rows)
+        classes = enumerate(self.class_rows)
+        h0, h1 = (self._fit(("class", y), rows, s, ks, False) for y, rows in classes)
         marginal = thin = None
         try:
-            marginal, _ = self.fit_marginal(TARGET, s, ks, variant)
+            marginal = self.fit_marginal(TARGET, s, ks, variant)
         except InsufficientDataError as exc:
             thin = str(exc)
         column = {k: j for j, k in enumerate(ks)}
@@ -252,50 +252,56 @@ class TrainingView:
 
     def fit_marginal(
         self, block: int, s: tuple[int, ...], ks: Sequence[int], variant: str
-    ) -> tuple[ColumnsFit, np.ndarray]:
+    ) -> ColumnsFit:
         """Fit of every column in ``ks`` on the columns in S over one block of rows.
 
         ``block`` indexes ``env_features``, or is ``TARGET`` for the target
-        rows.  Returns the fits and their design or spline basis, as
-        :func:`ols_columns` and :func:`~invarbin.regression._spline_solve`
-        do.  The linear fit is one tall least-squares solve.  The spline fit
-        is the ridge solve of :func:`~invarbin.regression._spline_solve`
-        taken on the block's R factor: the columns of S's basis and of ``ks``,
-        with the same minimiser as the tall solve.
+        rows.  The fit is :func:`~invarbin.regression._ridge_solve` on the
+        columns of the block's R factor that hold S's regressors and ``ks``,
+        so it equals :func:`~invarbin.regression.ols_columns`'s or
+        :func:`~invarbin.regression._spline_solve`'s (whose basis
+        :meth:`basis` gives), minimum-norm answers included, up to rounding.
         """
         _check_variant(variant)
         rows = self.target if block == TARGET else self.env_features[block]
-        cols, ks = list(s), list(ks)
-        if variant == VARIANT_LINEAR:
-            return ols_columns(rows[:, cols], rows[:, ks])
-        factor = self._factor(block, rows)
-        start = factor.start
-        design = [0] + [i for j in cols for i in range(start[j], start[j + 1])]
-        targets = [start[-1] + k for k in ks]
-        coef = _ridge_solve(factor.r[:, design], factor.r[:, targets], _SPLINE_LAMBDA)
-        planned = [factor.planned[j] for j in cols]
-        basis = np.hstack([np.ones((rows.shape[0], 1))] + [b for _, b in planned])
-        terms = tuple(term for term, _ in planned)
-        return ColumnsFit(coef=coef, terms=terms, lam=_SPLINE_LAMBDA), basis
+        return self._fit(block, rows, s, ks, variant == VARIANT_GAM)
 
-    def _factor(self, block: int, rows: np.ndarray) -> _BlockFactor:
-        """The block's spline plans and R factor, made on first use."""
-        factor = self._factors.get(block)
+    def basis(self, block: int, s: tuple[int, ...]) -> np.ndarray:
+        """[1 | the planned spline basis of every column in S] over one block of rows."""
+        rows = self.target if block == TARGET else self.env_features[block]
+        planned = self._factor(block, rows, spline=True).planned
+        return np.hstack([np.ones((rows.shape[0], 1))] + [planned[j][1] for j in s])
+
+    def _fit(self, block, rows: np.ndarray, s, ks, spline: bool) -> ColumnsFit:
+        n = rows.shape[0]
+        _check_rows("fit_spline_additive" if spline else "fit_ols", n, 0 if spline else len(s))
+        factor = self._factor(block, rows, spline)
+        start = factor.start
+        design = [0] + [i for j in s for i in range(start[j], start[j + 1])]
+        targets = [k - rows.shape[1] for k in ks]  # the raw columns come last
+        lam = _SPLINE_LAMBDA if spline else 0.0
+        coef = _ridge_solve(factor.r[:, design], factor.r[:, targets], lam, n)
+        if not spline:
+            return ColumnsFit(coef=coef)
+        return ColumnsFit(coef=coef, terms=tuple(factor.planned[j][0] for j in s), lam=lam)
+
+    def _factor(self, block, rows: np.ndarray, spline: bool) -> _BlockFactor:
+        """The block's spline plans (none for OLS) and R factor, made on first use."""
+        factor = self._factors.get((block, spline))
         if factor is not None:
             return factor
-        n = rows.shape[0]
-        if n < 2:
-            raise InsufficientDataError(f"fit_spline_additive needs n >= 2 rows, got {n}")
-        planned = tuple(_spline_plan(column) for column in rows.T)
-        start = np.cumsum([1] + [basis.shape[1] for _, basis in planned])
-        r = np.empty((0, start[-1] + rows.shape[1]))
+        n, m = rows.shape
+        planned = tuple(_spline_plan(column) for column in rows.T) if spline else ()
+        widths = [basis.shape[1] for _, basis in planned]
+        start = np.cumsum([1] + widths) if spline else np.arange(1, m + 2)
+        r = np.empty((0, 1 + sum(widths) + m))
         for lo in range(0, n, _FACTOR_CHUNK_ROWS):
             hi = min(lo + _FACTOR_CHUNK_ROWS, n)
             chunk = [np.ones((hi - lo, 1))] + [basis[lo:hi] for _, basis in planned] + [rows[lo:hi]]
             # the chunk's design is freed before qr copies the stacked rows
             r = np.linalg.qr(np.vstack([r, np.hstack(chunk)]), mode="r")[: start[-1]]
         factor = _BlockFactor(planned=planned, start=start, r=r)
-        self._factors[block] = factor
+        self._factors[(block, spline)] = factor
         return factor
 
 
@@ -391,11 +397,11 @@ def _training_scores(
     count = np.zeros(len(members))
     for block, (env, observed) in enumerate(zip(view.env_features, view.env_response)):
         try:
-            fit, basis = view.fit_marginal(block, s, ks, variant)
+            fit = view.fit_marginal(block, s, ks, variant)
         except InsufficientDataError:
             continue
-        marginal = basis @ fit.coef
         design = np.column_stack([np.ones(env.shape[0]), env[:, cols]])
+        marginal = (design if variant == VARIANT_LINEAR else view.basis(block, s)) @ fit.coef
         probs, degenerate = _matching_ratio(marginal, design @ h0, design @ h1, eps)
         total += np.where(degenerate, 0.0, (probs - observed[:, None]) ** 2).sum(axis=0)
         count += (~degenerate).sum(axis=0)

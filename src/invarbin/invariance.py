@@ -213,18 +213,21 @@ def batched_residual_tests(
     tails = student_t_tail(
         np.concatenate([empty, *t_parts], axis=2), np.concatenate([empty, *df_parts], axis=2)
     )
-    for pair, by_cell in zip(tested, tails.transpose(2, 1, 0).tolist()):
-        raw = {label: dict(enumerate(by_y)) for label, by_y in zip(labels, by_cell)}
-        adjusted = {
-            label: {y: min(1.0, factor * p) for y, p in by.items()} for label, by in raw.items()
-        }
-        worst = min(p for by in adjusted.values() for p in by.values())
+    adjusted = np.minimum(1.0, factor * tails)
+    worst = adjusted.min(axis=(0, 1)).tolist()
+
+    def by_label(by_cell: np.ndarray) -> dict[str, dict[int, float]]:
+        # one pair's (class, environment) block; converted pair by pair, so
+        # that the screen never holds every p-value as Python floats twice
+        return {label: dict(enumerate(by_y)) for label, by_y in zip(labels, by_cell.T.tolist())}
+
+    for j, pair in enumerate(tested):
         reports[pair] = InvarianceReport(
             pair=pair,
-            verdict="accepted" if worst > alpha else "rejected",
+            verdict="accepted" if worst[j] > alpha else "rejected",
             alpha=alpha,
-            pvals=adjusted,
-            raw_pvals=raw,
+            pvals=by_label(adjusted[:, :, j]),
+            raw_pvals=by_label(tails[:, :, j]),
         )
     return [reports[pair] for pair in pairs]
 

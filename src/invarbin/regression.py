@@ -10,11 +10,10 @@ The logistic fit is a damped Newton iteration with step halving; it stops
 at a small gradient, or once a step can no longer move the coefficients.
 OLS and the additive model are the one-target case of :func:`ols_columns`
 and :func:`_spline_solve`, which fit several targets on the same
-regressors with one solve.  The ridge formula itself is
-:func:`_ridge_solve`: :func:`_spline_solve` applies it to the tall basis,
-and the matching-pairs fit applies it to an R factor of that basis (a few
-dozen rows), which has the same minimiser.  OLS stays one tall solve, whose
-minimum-norm answer on a rank-deficient design an R factor would not keep.
+regressors with one solve.  Both solve with :func:`_ridge_solve`, OLS
+being its unpenalized case, on the tall design; the matching-pairs fit
+applies it to an R factor of that design (a few dozen rows), which with
+the tall cut-off gives the same minimiser and minimum-norm answer.
 """
 
 from __future__ import annotations
@@ -149,27 +148,30 @@ class ColumnsFit:
         return AdditiveSplineModel(intercept=coef[0], terms=tuple(terms), lam=self.lam)
 
 
+def _check_rows(fit: str, n: int, p: int = 0) -> None:
+    """Refuse a fit on fewer than two rows, or on fewer than p + 1 for p features."""
+    if n < 2:
+        raise InsufficientDataError(f"{fit} needs n >= 2 rows, got {n}")
+    if n < p + 1:
+        raise InsufficientDataError(
+            f"{fit} needs n >= p + 1 rows for p = {p} features, got n = {n}"
+        )
+
+
 def ols_columns(X: np.ndarray, Y: np.ndarray) -> tuple[ColumnsFit, np.ndarray]:
     """Least-squares fits of every column of Y on X, with an intercept.
 
-    One SVD solve (``numpy.linalg.lstsq``, default ``rcond``) serves all
-    columns; returns the fits and the design, so ``design @ fit.coef`` are
-    the fitted values.  The kernel behind :func:`fit_ols`, the residual
-    screen and the matching-pairs fits; X (n, p) and Y (n, t) must be
-    finite float arrays, which is what :func:`fit_ols` checks before
-    calling it.  Row requirements and minimum-norm semantics are those of
+    One tall SVD solve (``numpy.linalg.lstsq``) serves all columns; returns
+    the fits and the design, so ``design @ fit.coef`` are the fitted values.
+    The kernel behind :func:`fit_ols`; X (n, p) and Y (n, t) must be finite
+    float arrays, which is what :func:`fit_ols` checks before calling it.
+    Row requirements and minimum-norm semantics are those of
     :func:`fit_ols`.
     """
     n, p = X.shape
-    if n < 2:
-        raise InsufficientDataError(f"fit_ols needs n >= 2 rows, got {n}")
-    if n < p + 1:
-        raise InsufficientDataError(
-            f"fit_ols needs n >= p + 1 rows for p = {p} features, got n = {n}"
-        )
+    _check_rows("fit_ols", n, p)
     design = np.column_stack([np.ones(n), X])
-    coef, _, _, _ = np.linalg.lstsq(design, Y, rcond=None)
-    return ColumnsFit(coef=coef), design
+    return ColumnsFit(coef=_ridge_solve(design, Y, 0.0, n)), design
 
 
 def fit_ols(X, y) -> LinearModel:
@@ -248,30 +250,31 @@ def _spline_solve(
 ) -> tuple[ColumnsFit, np.ndarray]:
     """Solve step: every column of Y in one ridge solve; returns the fits and the basis."""
     n = Y.shape[0]
-    if n < 2:
-        raise InsufficientDataError(f"fit_spline_additive needs n >= 2 rows, got {n}")
+    _check_rows("fit_spline_additive", n)
     basis = np.hstack([np.ones((n, 1))] + [block for _, block in planned])
     terms = tuple(term for term, _ in planned)
-    return ColumnsFit(coef=_ridge_solve(basis, Y, lam), terms=terms, lam=lam), basis
+    return ColumnsFit(coef=_ridge_solve(basis, Y, lam, n), terms=terms, lam=lam), basis
 
 
-def _ridge_solve(design: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
+def _ridge_solve(design: np.ndarray, targets: np.ndarray, lam: float, n: int) -> np.ndarray:
     """Ridge coefficients of every column of ``targets`` on ``design``.
 
     Column 0 of the design is the intercept and is left unpenalized; every
-    other coefficient carries the penalty ``lam``.  The penalty rows make the
-    augmented system full rank whenever the intercept column is non-zero.
-    ``design`` and ``targets`` may be the tall basis and targets, or the
-    matching columns of an R factor of [basis | targets]: both have the same
-    minimiser.
+    other coefficient carries the penalty ``lam``, whose rows make the
+    system full rank whenever the intercept column is non-zero; ``lam = 0``
+    is the minimum-norm least-squares fit.  ``design`` and ``targets`` may
+    be the tall ones of ``n`` rows, or the matching columns of an R factor
+    of [design | targets]: both have the same singular values, and the
+    cut-off on them is the tall system's eps * max(rows, columns).
     """
     q = design.shape[1]
-    penalty = np.sqrt(lam) * np.eye(q)
-    penalty[0, 0] = 0.0
-    augmented = np.vstack([design, penalty])
-    target = np.vstack([targets, np.zeros((q, targets.shape[1]))])
-    coef, _, _, _ = np.linalg.lstsq(augmented, target, rcond=None)
-    return coef
+    if lam > 0.0:
+        penalty = np.sqrt(lam) * np.eye(q)
+        penalty[0, 0] = 0.0
+        design = np.vstack([design, penalty])
+        targets = np.vstack([targets, np.zeros((q, targets.shape[1]))])
+        n += q
+    return np.linalg.lstsq(design, targets, rcond=_EPS * max(n, q))[0]
 
 
 def fit_spline_additive(

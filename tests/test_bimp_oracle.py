@@ -147,7 +147,7 @@ def test_batched_fit_matches_per_pair_reference(case, variant):
 @pytest.mark.parametrize("variant", ["linear", "gam"])
 def test_post_screen_solves_scale_with_conditioning_sets(monkeypatch, variant):
     d = one_hot_dataset()
-    chunk = 128  # below the 300 rows of each block, so a block's factor takes 3 updates
+    chunk = 128  # below the rows of each block, so every block's factor takes 2 or more updates
     monkeypatch.setattr(bimp, "_FACTOR_CHUNK_ROWS", chunk)
     real = {"lstsq": np.linalg.lstsq, "qr": np.linalg.qr}
     real_screen = bimp.batched_residual_tests
@@ -176,10 +176,14 @@ def test_post_screen_solves_scale_with_conditioning_sets(monkeypatch, variant):
     bound = (3 + len(d.train_labels)) * groups
     assert calls["lstsq"] - at_screen["lstsq"] <= bound
     assert accepted > bound  # a per-pair path would exceed the bound
-    # a spline marginal factors each block of rows once, whatever the number of S
-    blocks = [int(d.rows_in(label).sum()) for label in (*d.train_labels, d.test_label)]
+    # every block of rows (each class for h0 and h1, the target and each
+    # training environment for the marginals) is factored once, whatever
+    # the number of S
+    train = np.isin(d.env_of, d.train_labels)
+    blocks = [int(np.sum(train & (d.response == y))) for y in (0, 1)]
+    blocks += [int(d.rows_in(label).sum()) for label in (*d.train_labels, d.test_label)]
     updates = sum(math.ceil(n / chunk) for n in blocks)
-    assert calls["qr"] - at_screen["qr"] == (updates if variant == "gam" else 0)
+    assert calls["qr"] - at_screen["qr"] == updates
     assert groups > updates  # a factor per S would exceed the count
 
 
@@ -191,14 +195,16 @@ def tall_ridge(basis, Y, lam):
     return np.linalg.lstsq(augmented, np.vstack([Y, np.zeros((q, Y.shape[1]))]), rcond=None)[0]
 
 
-def factor_dataset(seed=5):
-    """Three blocks of rows for the R-factor path of the spline marginals.
+def factor_dataset(seed=5, near_copy=False):
+    """Three blocks of rows for the R-factor path of the post-screen fits.
 
     The target spans three factor updates and a remainder, e1 has fewer rows
     than its full basis has columns, e2 lies between.  Columns: continuous
     (a spline term), binary (linear), constant, and the indicators of levels
     1-3 of a categorical whose levels 0 and 3 never occur: indicators 1 and
     2 sum to the intercept, so every block's full basis is rank-deficient.
+    ``near_copy`` adds x2, which is x plus noise of size 1e-14 outside e1
+    and an exact copy of x inside it.
     """
     chunk = bimp._FACTOR_CHUNK_ROWS
     rng = np.random.default_rng(seed)
@@ -209,11 +215,13 @@ def factor_dataset(seed=5):
     binary = rng.integers(0, 2, size=n).astype(float)
     binary[:6] = [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]  # e1's rows hold both values
     x = rng.normal(size=n)
-    features = np.column_stack(
-        [x, binary, np.full(n, 0.5), *(level[:, None] == np.arange(1, 4)).T.astype(float)]
-    )
+    columns = [x, binary, np.full(n, 0.5), *(level[:, None] == np.arange(1, 4)).T.astype(float)]
+    names = ["x", "b", "c", "lv1", "lv2", "lv3"]
+    if near_copy:
+        columns.append(x + np.where(env == "e1", 0.0, 1e-14 * rng.normal(size=n)))
+        names.append("x2")
     return MultiEnvDataset(
-        features=features,
+        features=np.column_stack(columns),
         response=(x + binary + rng.normal(size=n) > 0.5).astype(np.int64),
         env_of=env,
         environments=(
@@ -221,8 +229,61 @@ def factor_dataset(seed=5):
             Environment("e2", ROLE_TRAIN),
             Environment("test", ROLE_TEST),
         ),
-        column_names=("x", "b", "c", "lv1", "lv2", "lv3"),
+        column_names=tuple(names),
     )
+
+
+def test_factor_ols_matches_the_tall_solve(monkeypatch):
+    d = factor_dataset(near_copy=True)
+    view = bimp.TrainingView(d)
+    chunk = bimp._FACTOR_CHUNK_ROWS
+    train = np.isin(d.env_of, d.train_labels)
+    target, thin, wide = view.target, view.env_features[0], view.env_features[1]
+    assert target.shape[0] > 3 * chunk and target.shape[0] % chunk
+    assert thin.shape[0] < d.m + 1  # e1 is thinner than [1 | every column]
+    # Only the tall cut-off drops x2 - x from [1, x, x2]: where x2 is not an
+    # exact copy, the smallest singular value ratio lies above the default
+    # cut-off of the reduced system, eps * (m + 1), and below the tall one.
+    eps = np.finfo(float).eps
+    for rows in (target, wide, *(d.features[train & (d.response == y)] for y in (0, 1))):
+        sv = np.linalg.svd(np.column_stack([np.ones(len(rows)), rows[:, [0, 6]]]), compute_uv=False)
+        assert eps * (d.m + 1) < sv[-1] / sv[0] < eps * len(rows)
+    real_lstsq = np.linalg.lstsq
+    shapes = []
+
+    def recording(a, b, *args, **kwargs):
+        shapes.append(a.shape)
+        return real_lstsq(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+
+    def check(got, rows, s, ks):
+        want = regression.ols_columns(rows[:, list(s)], rows[:, ks])[0]
+        assert got.terms is None and got.lam == 0.0
+        scale = np.abs(want.coef).max(axis=0)
+        assert np.all(np.abs(got.coef - want.coef) <= 1e-12 * scale), s
+
+    # a constant column, a complete one-hot group (with and without the
+    # constant), a zero column, and x with its near copy
+    sets = [(), (0,), (1, 3), (0, 2, 4, 5), (1, 3, 4), (0, 6)]
+    for s in sets:
+        ks = [k for k in range(d.m) if k not in s]
+        for block, rows in {bimp.TARGET: target, 0: thin, 1: wide}.items():
+            shapes.clear()
+            got = view.fit_marginal(block, s, ks, "linear")
+            # one solve on the factor's rows, not on the block's
+            assert shapes == [(min(rows.shape[0], d.m + 1), len(s) + 1)]
+            check(got, rows, s, ks)
+        group = view.solve(s, ks, "gam")  # h0 and h1 are OLS in either variant
+        for y, h in enumerate(group.h):
+            check(h, d.features[train & (d.response == y)], s, ks)
+    # a set too large for e1's 6 rows is refused as the tall fit refuses it
+    s = (0, 1, 2, 3, 4, 5)
+    with pytest.raises(InsufficientDataError) as tall:
+        regression.ols_columns(thin[:, list(s)], thin[:, [6]])
+    with pytest.raises(InsufficientDataError) as factor:
+        view.fit_marginal(0, s, [6], "linear")
+    assert str(factor.value) == str(tall.value)
 
 
 def test_factor_solve_matches_the_tall_spline_solve(monkeypatch):
@@ -252,7 +313,8 @@ def test_factor_solve_matches_the_tall_spline_solve(monkeypatch):
         for s in sets:
             ks = [k for k in range(d.m) if k not in s]
             shapes.clear()
-            got, basis = view.fit_marginal(block, s, ks, "gam")
+            got = view.fit_marginal(block, s, ks, "gam")
+            basis = view.basis(block, s)
             # one ridge solve on the factor's rows, not on the block's
             assert shapes == [(min(n, width) + basis.shape[1], basis.shape[1])]
             want, tall = regression._spline_solve([planned[j] for j in s], rows[:, ks])
