@@ -17,7 +17,15 @@ import numpy as np
 from .data import MultiEnvDataset, feature_groups, training_subset
 from .errors import ValidationError
 from .invariance import conditioning_sets
-from .regression import LogisticModel, fit_logistic, predict
+from .regression import (
+    _PROB_CLIP,
+    LogisticModel,
+    _logistic_design,
+    _logistic_start,
+    _newton,
+    fit_logistic,
+    predict,
+)
 from .stats import bonferroni_combine, student_t_tail, welch_columns
 
 
@@ -73,7 +81,9 @@ def fit_icp(
     come from one Student-t tail call.  Subsets with combined p-value
     above ``alpha`` are accepted.  The final predictor uses the intersection
     of accepted subsets; an empty intersection or empty acceptance list
-    means abstention.
+    means abstention.  Every fit starts from its columns' slice of one start
+    of [1 | X], and its residuals come from its own final probabilities,
+    clipped as :func:`predict` clips them; nothing is refitted.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
@@ -86,12 +96,15 @@ def fit_icp(
     env_arr = train.env_of
     masks = [(env_arr == label, env_arr != label) for label in labels]
 
+    design, y = _logistic_design(train.features, train.response)
+    ll0, p0, grad0, hess0 = _logistic_start(design, y)
     models: dict[tuple[int, ...], LogisticModel] = {}
     t, df = [], []
     for cols in subsets:
-        X = train.features[:, list(cols)]
-        models[cols] = fit_logistic(X, train.response)
-        residuals = deviance_residuals(predict(models[cols], X), train.response)
+        idx = [0] + [c + 1 for c in cols]
+        start = (ll0, p0, grad0[idx], hess0[np.ix_(idx, idx)])
+        models[cols], probs = _newton(design[:, idx], y, start)
+        residuals = deviance_residuals(np.clip(probs, _PROB_CLIP, 1.0 - _PROB_CLIP), y)
         for inside, outside in masks:
             t_env, df_env = welch_columns(residuals[inside][:, None], residuals[outside][:, None])
             t.append(t_env)

@@ -8,6 +8,8 @@ natural cubic spline basis and solves a ridge problem with the intercept
 left unpenalized, so it extrapolates linearly outside the training range.
 The logistic fit is a damped Newton iteration with step halving; it stops
 at a small gradient, or once a step can no longer move the coefficients.
+Its start at zero (:func:`_logistic_start`) depends on the rows alone, so
+ICP slices one start for every subset's Newton loop (:func:`_newton`).
 OLS and the additive model are the one-target case of :func:`ols_columns`
 and :func:`_spline_solve`, which fit several targets on the same
 regressors with one solve.  Both solve with :func:`_ridge_solve`, OLS
@@ -298,10 +300,10 @@ def fit_spline_additive(
 
 
 def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
-    # e = exp(-|z|) never overflows; both branches are finite for every z
+    # e = exp(-|z|) <= 1 never overflows; the numerator is 1 where z >= 0, else e
     if e is None:
         e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def _log_likelihood(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -312,6 +314,69 @@ def _log_likelihood(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """
     e = np.exp(-np.abs(z))
     return float(np.sum(y * z - (np.maximum(z, 0.0) + np.log1p(e)))), e
+
+
+def _logistic_design(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """Checked [1 | X] and y of a logistic fit: finite, y in {0, 1}, both classes present."""
+    X, y = _check_design(X, y)
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValidationError("fit_logistic requires y in {0, 1}")
+    if not (y.any() and not y.all()):
+        raise DegenerateResponseError("fit_logistic requires both classes present")
+    return np.column_stack([np.ones(X.shape[0]), X]), y
+
+
+def _logistic_start(design: np.ndarray, y: np.ndarray):
+    """Log-likelihood, probabilities, gradient and Hessian of a logistic fit at w = 0.
+
+    A fit on some of the design's columns starts from their entries and block.
+    """
+    z = np.zeros(design.shape[0])
+    ll, e = _log_likelihood(z, y)
+    p = _sigmoid(z, e)
+    return ll, p, design.T @ (y - p), design.T @ (design * (p * (1.0 - p))[:, None])
+
+
+def _newton(design: np.ndarray, y: np.ndarray, start) -> tuple[LogisticModel, np.ndarray]:
+    """:func:`fit_logistic`'s Newton loop from ``start``; the model and its probabilities."""
+    ll, p, grad, hess = start
+    w = np.zeros(design.shape[1])
+    losses = [-ll]
+    it = 0
+    converged = bool(np.linalg.norm(grad) < _LOGISTIC_TOL)
+    while not converged and it < _LOGISTIC_MAX_ITER:
+        it += 1
+        if it > 1:
+            hess = design.T @ (design * (p * (1.0 - p))[:, None])
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step, _, _, _ = np.linalg.lstsq(hess, grad, rcond=None)
+        scale = 1.0
+        for _ in range(_MAX_HALVINGS + 1):
+            w_new = w + scale * step
+            z_new = design @ w_new
+            ll_new, e_new = _log_likelihood(z_new, y)
+            if ll_new >= ll:
+                break
+            scale *= 0.5
+        else:
+            w_new = w  # every trial point lowered the log-likelihood
+        if np.array_equal(w_new, w):
+            converged = bool(grad @ step / 2.0 <= _EPS * max(1.0, abs(ll)))
+            break
+        w, ll = w_new, ll_new
+        losses.append(-ll)
+        # the next step starts from this sigmoid and gradient
+        p = _sigmoid(z_new, e_new)
+        grad = design.T @ (y - p)
+        converged = bool(np.linalg.norm(grad) < _LOGISTIC_TOL)
+    return LogisticModel(
+        coef=tuple(float(c) for c in w),
+        converged=converged,
+        n_iter=it,
+        loss_path=tuple(losses),
+    ), p
 
 
 def fit_logistic(X, y) -> LogisticModel:
@@ -330,56 +395,8 @@ def fit_logistic(X, y) -> LogisticModel:
     steps taken, including a last one that could not move the coefficients.
     Both classes must be present.
     """
-    X, y = _check_design(X, y)
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValidationError("fit_logistic requires y in {0, 1}")
-    if not (y.any() and not y.all()):
-        raise DegenerateResponseError("fit_logistic requires both classes present")
-
-    n = X.shape[0]
-    design = np.column_stack([np.ones(n), X])
-    q = design.shape[1]
-    w = np.zeros(q)
-    z = design @ w
-    ll, e = _log_likelihood(z, y)
-    losses = [-ll]
-    it = 0
-    p = _sigmoid(z, e)
-    grad = design.T @ (y - p)
-    converged = bool(np.linalg.norm(grad) < _LOGISTIC_TOL)
-    while not converged and it < _LOGISTIC_MAX_ITER:
-        it += 1
-        weights = p * (1.0 - p)
-        hess = design.T @ (design * weights[:, None])
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step, _, _, _ = np.linalg.lstsq(hess, grad, rcond=None)
-        scale = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            w_new = w + scale * step
-            z_new = design @ w_new
-            ll_new, e_new = _log_likelihood(z_new, y)
-            if ll_new >= ll:
-                break
-            scale *= 0.5
-        else:
-            w_new = w  # every trial point lowered the log-likelihood
-        if np.array_equal(w_new, w):
-            converged = bool(grad @ step / 2.0 <= _EPS * max(1.0, abs(ll)))
-            break
-        w, z, ll, e = w_new, z_new, ll_new, e_new
-        losses.append(-ll)
-        # the next step starts from this sigmoid and gradient
-        p = _sigmoid(z, e)
-        grad = design.T @ (y - p)
-        converged = bool(np.linalg.norm(grad) < _LOGISTIC_TOL)
-    return LogisticModel(
-        coef=tuple(float(c) for c in w),
-        converged=converged,
-        n_iter=it,
-        loss_path=tuple(losses),
-    )
+    design, y = _logistic_design(X, y)
+    return _newton(design, y, _logistic_start(design, y))[0]
 
 
 def predict(model, X) -> np.ndarray:

@@ -11,6 +11,9 @@ floats, that the array kernel in ``invarbin.stats`` must match bit for bit.
 ``encode_rows`` and ``sniff_rows`` are the row-by-row CSV encoder and
 schema sniffer that ``invarbin.data``'s column-wise ``encode_table`` and
 ``sniff_table`` must match in every dataset bit, schema entry and refusal.
+``icp_reference`` is the invariant-set search with one public logistic fit
+and one prediction per subset, against which ``fit_icp``'s shared start is
+checked.
 """
 
 import math
@@ -28,7 +31,15 @@ from invarbin import (
     ROLE_TRAIN,
     SchemaError,
     ValidationError,
+    bonferroni_combine,
+    deviance_residuals,
+    feature_groups,
+    fit_logistic,
+    predict,
+    training_subset,
 )
+from invarbin.invariance import conditioning_sets
+from invarbin.stats import student_t_tail, welch_columns
 
 
 _BETAINC_TOL = 1e-10
@@ -137,6 +148,33 @@ def screen_oracle(d, pairs, alpha=0.1):
         worst = min(p for by in adjusted.values() for p in by.values())
         out[pair] = ("accepted" if worst > alpha else "rejected", adjusted)
     return out
+
+
+def icp_reference(d, alpha=0.1, max_subset_size=None):
+    """Reference invariant-set search: (accepted, intersection, abstained, pvals, models).
+
+    Each subset is fitted on its own columns by the public ``fit_logistic``
+    and scored on ``predict``'s clipped probabilities; the per-environment
+    Welch statistics of the deviance residuals go through one Student-t
+    tail call and are Bonferroni-combined per subset.
+    """
+    train = training_subset(d)
+    masks = [(train.env_of == label, train.env_of != label) for label in train.train_labels]
+    subsets = conditioning_sets(feature_groups(d), max_subset_size)
+    models, t, df = {}, [], []
+    for cols in subsets:
+        X = train.features[:, list(cols)]
+        models[cols] = fit_logistic(X, train.response)
+        residuals = deviance_residuals(predict(models[cols], X), train.response)
+        for inside, outside in masks:
+            t_env, df_env = welch_columns(residuals[inside][:, None], residuals[outside][:, None])
+            t.append(t_env)
+            df.append(df_env)
+    p = student_t_tail(np.concatenate(t), np.concatenate(df)).reshape(len(subsets), len(masks))
+    pvals = {cols: bonferroni_combine(by_env) for cols, by_env in zip(subsets, p)}
+    accepted = tuple(cols for cols in subsets if pvals[cols] > alpha)
+    intersection = tuple(sorted(set.intersection(*map(set, accepted)))) if accepted else ()
+    return accepted, intersection, not intersection, pvals, models
 
 
 def one_hot_dataset(n=900, categoricals=3, levels=5, seed=0):

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from invarbin import (
+    DegenerateResponseError,
     Environment,
     MultiEnvDataset,
     ROLE_TEST,
@@ -9,6 +12,7 @@ from invarbin import (
     ValidationError,
     deviance_residuals,
     draw_benchmark_config,
+    feature_groups,
     fit_icp,
     fit_logistic,
     fit_lr_baseline,
@@ -20,6 +24,8 @@ from invarbin import (
 )
 from invarbin import baselines
 from invarbin import test_subset as held_out_subset
+from invarbin.regression import _logistic_start
+from oracles import icp_reference, one_hot_dataset
 
 
 def test_lr_baseline_learns_pooled_logit():
@@ -117,21 +123,96 @@ def test_icp_prediction_rejects_another_width(width):
         predict_baseline(fitted, np.zeros((5, width)))
 
 
+def recording_newton(monkeypatch) -> list:
+    """Make ``fit_icp``'s Newton fits record (design, start, model), in call order."""
+    calls = []
+    newton = baselines._newton
+
+    def recording(design, y, start):
+        model, probs = newton(design, y, start)
+        calls.append((design, start, model))
+        return model, probs
+
+    monkeypatch.setattr(baselines, "_newton", recording)
+    return calls
+
+
 def test_icp_reuses_the_intersection_fit(monkeypatch):
     d = stable_predictor_dataset()
-    calls = []
-
-    def counting(X, y, *args, **kwargs):
-        calls.append(X.shape[1])
-        return fit_logistic(X, y, *args, **kwargs)
-
-    monkeypatch.setattr(baselines, "fit_logistic", counting)
+    calls = recording_newton(monkeypatch)
     fitted = fit_icp(d, alpha=0.05)
     assert not fitted.abstained
     assert len(calls) == len(fitted.pvals)
+    # the intersection's model is the one its subset's fit returned: no refit
+    design, _, model = dict(zip(fitted.pvals, calls))[fitted.intersection]
     train = training_subset(d)
-    refit = fit_logistic(train.features[:, list(fitted.intersection)], train.response)
-    assert fitted.model == refit
+    X = train.features[:, list(fitted.intersection)]
+    assert np.array_equal(design, np.column_stack([np.ones(len(X)), X]))
+    assert fitted.model is model
+    # The sliced start rounds apart from the subset's own in the last bits,
+    # so only the Newton path can differ from the public fit, not its optimum.
+    public = fit_logistic(X, train.response)
+    assert fitted.model.converged == public.converged
+    got, want = np.asarray(fitted.model.coef), np.asarray(public.coef)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+_REFERENCE_DATASETS = [
+    *(
+        pytest.param(gen_benchmark(draw_benchmark_config(seed, n_per_env=300)), id=f"benchmark-{seed}")
+        for seed in range(12)
+    ),
+    pytest.param(one_hot_dataset(), id="one-hot"),
+]
+
+
+@pytest.mark.parametrize("d", _REFERENCE_DATASETS)
+def test_icp_matches_the_per_subset_reference(d):
+    accepted, intersection, abstained, pvals, models = icp_reference(d)
+    fitted = fit_icp(d)
+    assert (fitted.accepted, fitted.intersection, fitted.abstained) == (accepted, intersection, abstained)
+    assert list(fitted.pvals) == list(pvals)
+    for cols, want in pvals.items():
+        assert fitted.pvals[cols] == pytest.approx(want, rel=0.0, abs=1e-9), cols
+    if not abstained:
+        X = held_out_subset(d).features
+        got = predict(fitted.model, X[:, list(intersection)])
+        want = predict(models[intersection], X[:, list(intersection)])
+        assert np.max(np.abs(got - want)) <= 1e-9
+        assert np.array_equal(predict_baseline(fitted, X), (want >= 0.5).astype(np.int64))
+
+
+@pytest.mark.parametrize(
+    "d",
+    [gen_benchmark(draw_benchmark_config(3, m=5, n_per_env=300)), one_hot_dataset()],
+    ids=["continuous", "one-hot"],
+)
+def test_sliced_start_matches_each_subsets_own_start(d, monkeypatch):
+    # A wrong slice only changes the Newton path, not the optimum, so the
+    # fitted p-values cannot show it: compare each start with the subset's own.
+    calls = recording_newton(monkeypatch)
+    fitted = fit_icp(d, max_subset_size=len(feature_groups(d)))
+    assert len(calls) == len(fitted.pvals)
+    train = training_subset(d)
+    y = train.response.astype(float)
+    for cols, (design, (ll, p, grad, hess), _) in zip(fitted.pvals, calls):
+        own_design = np.column_stack([np.ones(len(y)), train.features[:, list(cols)]])
+        assert design.tobytes() == own_design.tobytes(), cols
+        own_ll, own_p, own_grad, own_hess = _logistic_start(own_design, y)
+        assert ll == own_ll and p.tobytes() == own_p.tobytes(), cols
+        for got, want in ((grad, own_grad), (hess, own_hess)):
+            assert got.shape == want.shape, cols
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), cols
+
+
+@pytest.mark.parametrize("cls", [0, 1])
+def test_one_class_training_rows_are_refused(cls):
+    d = stable_predictor_dataset()
+    train = np.isin(d.env_of, d.train_labels)
+    one_class = dataclasses.replace(d, response=np.where(train, cls, d.response))
+    for fit in (fit_icp, fit_lr_baseline):
+        with pytest.raises(DegenerateResponseError, match="both classes"):
+            fit(one_class)
 
 
 def test_icp_abstains_on_benchmark_shift():
