@@ -44,10 +44,12 @@ from .regression import (
     _SPLINE_LAMBDA,
     ColumnsFit,
     SplineTerm,
+    _additive_values,
     _check_design,
     _check_rows,
     _ridge_solve,
     _spline_plan,
+    _term_columns,
     fit_ols,  # noqa: F401
     model_to_dict,
     predict,
@@ -117,11 +119,9 @@ def enumerate_pairs(
     if m < 1:
         raise ValidationError(f"need at least one column, got m = {m}")
     grouped = _as_groups(m, groups)
-    return tuple(
-        Pair(k=k, s=s)
-        for k in range(m)
-        for s in conditioning_sets([g for g in grouped if k not in g], max_subset_size)
-    )
+    # every column of a group is matched against the same conditioning sets
+    sets = {g: conditioning_sets([h for h in grouped if h != g], max_subset_size) for g in grouped}
+    return tuple(Pair(k=k, s=s) for k in range(m) for g in grouped if k in g for s in sets[g])
 
 
 @dataclass(frozen=True)
@@ -205,9 +205,9 @@ class TrainingView:
     Every fit after the screen reads a factor: each block of rows (a class,
     the target or one training environment) is planned and factored once
     per kind of fit, with one R factor of the block's design taken chunk by
-    chunk.  Each conditioning set's solve then reads that factor, a few
-    dozen rows, instead of the block's rows.  The cache lives as long as
-    the view, one fit.
+    chunk, so there is one spline basis per (block, column) (:meth:`planned`).
+    Each conditioning set's solve then reads that factor, a few dozen rows,
+    instead of the block's rows.  The cache lives as long as the view, one fit.
     """
 
     def __init__(self, d: MultiEnvDataset):
@@ -265,6 +265,11 @@ class TrainingView:
         _check_variant(variant)
         rows = self.target if block == TARGET else self.env_features[block]
         return self._fit(block, rows, s, ks, variant == VARIANT_GAM)
+
+    def planned(self, block: int) -> tuple[tuple[SplineTerm, np.ndarray], ...]:
+        """Every column's planned spline term and basis over one block of rows."""
+        rows = self.target if block == TARGET else self.env_features[block]
+        return self._factor(block, rows, spline=True).planned
 
     def basis(self, block: int, s: tuple[int, ...]) -> np.ndarray:
         """[1 | the planned spline basis of every column in S] over one block of rows."""
@@ -347,13 +352,19 @@ def fit_pair_model(
     )
 
 
-def _pair_values(model: PairModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pair_values(model: PairModel, X: np.ndarray, bases=None) -> tuple[np.ndarray, np.ndarray]:
+    """One pair's ratios on X; gam marginals share basis blocks through ``bases``."""
     s_block = X[:, list(model.pair.s)]
+    if bases is None or model.variant != VARIANT_GAM:
+        marginal = predict(model.marginal, s_block)
+    else:
+        plans = [(j, term.kind, term.knots) for j, term in zip(model.pair.s, model.marginal.terms)]
+        for plan, term in zip(plans, model.marginal.terms):
+            if plan not in bases:
+                bases[plan] = _term_columns(term, X[:, plan[0]])
+        marginal = _additive_values(model.marginal, [bases[p] for p in plans], X.shape[0])
     return _matching_ratio(
-        predict(model.marginal, s_block),
-        predict(model.h0, s_block),
-        predict(model.h1, s_block),
-        model.eps_abs,
+        marginal, predict(model.h0, s_block), predict(model.h1, s_block), model.eps_abs
     )
 
 
@@ -385,13 +396,15 @@ def _training_scores(
 ) -> list[float]:
     """Mean squared training error of each pair model sharing S and variant.
 
-    Inside each training environment one marginal solve covers every
-    member's k; an environment too thin for that solve is left out.
+    h0 and h1 are the members' columns of the view's fits for S.  Inside
+    each training environment one marginal solve covers every member's k;
+    an environment too thin for that solve is left out.  The ratio, clip
+    and squared error are taken in place; degenerate entries add zero.
     """
     cols = list(s)
     ks = [pm.pair.k for pm in members]
-    h0 = np.array([pm.h0.coef for pm in members]).T
-    h1 = np.array([pm.h1.coef for pm in members]).T
+    group = view.solve(s, ks, variant)
+    h0, h1 = (fit.coef[:, [group.column[k] for k in ks]] for fit in group.h)
     eps = np.array([pm.eps_abs for pm in members])
     total = np.zeros(len(members))
     count = np.zeros(len(members))
@@ -401,9 +414,15 @@ def _training_scores(
         except InsufficientDataError:
             continue
         design = np.column_stack([np.ones(env.shape[0]), env[:, cols]])
-        marginal = (design if variant == VARIANT_LINEAR else view.basis(block, s)) @ fit.coef
-        probs, degenerate = _matching_ratio(marginal, design @ h0, design @ h1, eps)
-        total += np.where(degenerate, 0.0, (probs - observed[:, None]) ** 2).sum(axis=0)
+        error = (design if variant == VARIANT_LINEAR else view.basis(block, s)) @ fit.coef
+        low, den = design @ h0, design @ h1
+        den -= low
+        degenerate = np.abs(den) <= eps
+        error -= low
+        np.clip(np.divide(error, den, out=error, where=~degenerate), 0.0, 1.0, out=error)
+        np.square(np.subtract(error, observed[:, None], out=error), out=error)
+        np.copyto(error, 0.0, where=degenerate)
+        total += error.sum(axis=0)
         count += (~degenerate).sum(axis=0)
     mean = np.divide(total, count, out=np.full(len(members), math.inf), where=count > 0)
     return [float(v) for v in mean]
@@ -420,11 +439,11 @@ def score_filter(
     Each pair is scored by the mean squared difference between its ratio
     predictions and the observed classes over all training rows, with the
     marginal term refit inside each training environment (the h fits stay
-    pooled).  Degenerate rows do not contribute.  Pairs score infinity when
-    no row contributes; the filter keeps scores at most (1 + tau) times the
-    minimum and always keeps an argmin, so the result is never empty.
-    Pairs sharing a conditioning set are scored together; ``view`` is a
-    :class:`TrainingView` of ``d``, built here when not given.
+    pooled: the view's fits for S, the models' own when fitted on ``d``).
+    Degenerate rows do not contribute.  Pairs score infinity when no row
+    contributes; the filter keeps scores at most (1 + tau) times the minimum
+    and always keeps an argmin, so the result is never empty.  Pairs sharing
+    S are scored together on ``view``, a :class:`TrainingView` of ``d`` or a new one.
     """
     if not models:
         raise ValidationError("score_filter needs at least one pair model")
@@ -560,8 +579,11 @@ def fit_bimp(
     if fitted:
         filtered = score_filter(fitted, d, tau=tau, view=view)
         scores, threshold = filtered.scores, filtered.threshold
+        # the target's marginal fits planned every column's basis
+        planned = view.planned(TARGET) if variant == VARIANT_GAM else ()
+        bases = {(j, term.kind, term.knots): block for j, (term, block) in enumerate(planned)}
         for model in filtered.kept:
-            _, degenerate = _pair_values(model, view.target)
+            _, degenerate = _pair_values(model, view.target, bases)
             if view.target.shape[0] and degenerate.mean() > _DEGENERATE_DROP_FRACTION:
                 counts["dropped_degenerate"] += 1
                 continue
@@ -600,8 +622,9 @@ def predict_bimp(model: BimpModel, X) -> BimpPrediction:
     n = X.shape[0]
     total = np.zeros(n)
     contributors = np.zeros(n)
+    bases: dict = {}  # one basis block per column and plan, for this call only
     for pm in model.pair_models:
-        probs, degenerate = _pair_values(pm, X)
+        probs, degenerate = _pair_values(pm, X, bases)
         ok = ~degenerate
         total[ok] += probs[ok]
         contributors[ok] += 1.0

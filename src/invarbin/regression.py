@@ -4,8 +4,11 @@ All three fits take a plain (n, p) float matrix and a length-n target, carry
 an explicit intercept, and are deterministic.  OLS is solved by SVD
 (``numpy.linalg.lstsq``), which returns the minimum-norm solution when the
 design is rank deficient.  The additive model expands each column in a
-natural cubic spline basis and solves a ridge problem with the intercept
-left unpenalized, so it extrapolates linearly outside the training range.
+natural cubic spline basis, whose truncated cubes take the power on positive
+bases only, and solves a ridge problem with the intercept left unpenalized,
+so it extrapolates linearly outside the training range.  Its predictions
+sum the basis blocks term by term (:func:`_additive_values`), so a caller
+evaluating many models on the same rows can build one basis per column.
 The logistic fit is a damped Newton iteration with step halving; it stops
 at a small gradient, or once a step can no longer move the coefficients.
 Its start at zero (:func:`_logistic_start`) depends on the rows alone, so
@@ -192,16 +195,25 @@ def _natural_spline_basis(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
     """Natural cubic basis for one feature: [x, N_1(x), ..., N_{K-2}(x)].
 
     The curvature functions are differences of scaled truncated cubes, which
-    makes the fit linear beyond the boundary knots.
+    makes the fit linear beyond the boundary knots.  Each truncated cube
+    takes the power on positive bases only (numpy's is slow on zeros), and
+    is byte-equal to ``np.clip(x - k, 0.0, None) ** 3``, -0.0 included.
     """
+    def cube(k: float) -> np.ndarray:
+        c = x - k
+        above = c > 0.0
+        c = np.where(above, c, 1.0)
+        c **= 3
+        c *= above
+        return c
+
     last = knots[-1]
-    second_last = knots[-2]
-    cube_last = np.clip(x - last, 0.0, None) ** 3
+    cube_last = cube(last)
 
     def scaled(k: float) -> np.ndarray:
-        return (np.clip(x - k, 0.0, None) ** 3 - cube_last) / (last - k)
+        return (cube(k) - cube_last) / (last - k)
 
-    anchor = scaled(second_last)
+    anchor = scaled(knots[-2])
     cols = [x]
     for k in knots[:-2]:
         cols.append(scaled(k) - anchor)
@@ -209,10 +221,10 @@ def _natural_spline_basis(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
 
 
 def _plan_term(x: np.ndarray, n_knots: int) -> SplineTerm:
-    distinct = np.unique(x)
-    if distinct.size <= 1:
+    lo, hi = x.min(), x.max()  # one or two distinct values, told without sorting
+    if lo == hi:
         return SplineTerm(kind="constant", knots=(), coef=())
-    if distinct.size == 2:
+    if np.all((x == lo) | (x == hi)):
         return SplineTerm(kind="linear", knots=(), coef=())
     levels = [(i + 1) / (n_knots + 1) for i in range(n_knots)]
     knots = np.unique(np.quantile(x, levels))
@@ -252,7 +264,6 @@ def _spline_solve(
 ) -> tuple[ColumnsFit, np.ndarray]:
     """Solve step: every column of Y in one ridge solve; returns the fits and the basis."""
     n = Y.shape[0]
-    _check_rows("fit_spline_additive", n)
     basis = np.hstack([np.ones((n, 1))] + [block for _, block in planned])
     terms = tuple(term for term, _ in planned)
     return ColumnsFit(coef=_ridge_solve(basis, Y, lam, n), terms=terms, lam=lam), basis
@@ -295,6 +306,7 @@ def fit_spline_additive(
         raise ValidationError(f"lam must be non-negative, got {lam!r}")
     if n_knots < 1:
         raise ValidationError(f"n_knots must be positive, got {n_knots!r}")
+    _check_rows("fit_spline_additive", X.shape[0])
     planned = [_spline_plan(X[:, j], n_knots) for j in range(X.shape[1])]
     return _spline_solve(planned, y[:, None], lam)[0].model(0)
 
@@ -399,6 +411,15 @@ def fit_logistic(X, y) -> LogisticModel:
     return _newton(design, y, _logistic_start(design, y))[0]
 
 
+def _additive_values(model: AdditiveSplineModel, bases, n: int) -> np.ndarray:
+    """A spline model on n rows from its terms' basis blocks: the intercept, then term by term."""
+    out = np.full(n, model.intercept)
+    for term, cols in zip(model.terms, bases):
+        if cols.shape[1]:
+            out = out + cols @ np.asarray(term.coef)
+    return out
+
+
 def predict(model, X) -> np.ndarray:
     """Evaluate a fitted model on new rows.
 
@@ -415,12 +436,8 @@ def predict(model, X) -> np.ndarray:
         coef = np.asarray(model.coef)
         return coef[0] + X @ coef[1:]
     if isinstance(model, AdditiveSplineModel):
-        out = np.full(X.shape[0], model.intercept)
-        for j, term in enumerate(model.terms):
-            cols = _term_columns(term, X[:, j])
-            if cols.shape[1]:
-                out = out + cols @ np.asarray(term.coef)
-        return out
+        bases = (_term_columns(term, X[:, j]) for j, term in enumerate(model.terms))
+        return _additive_values(model, bases, X.shape[0])
     if isinstance(model, LogisticModel):
         coef = np.asarray(model.coef)
         probs = _sigmoid(coef[0] + X @ coef[1:])

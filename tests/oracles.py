@@ -13,7 +13,13 @@ schema sniffer that ``invarbin.data``'s column-wise ``encode_table`` and
 ``sniff_table`` must match in every dataset bit, schema entry and refusal.
 ``icp_reference`` is the invariant-set search with one public logistic fit
 and one prediction per subset, against which ``fit_icp``'s shared start is
-checked.
+checked.  ``clip_power_basis`` and ``unique_plan`` are the natural-spline
+basis through ``np.clip(x - k, 0, None) ** 3`` and the term plan through
+``np.unique``, which the regression kernels must match byte for byte and
+decision for decision.  ``training_scores`` is the score filter's
+per-conditioning-set training error through NaN-filled ratios and
+``np.where``, from the members' own h0/h1 coefficients, which
+``bimp._training_scores`` must match bit for bit.
 """
 
 import math
@@ -25,6 +31,7 @@ from invarbin import (
     CsvParseError,
     EncodingSpec,
     Environment,
+    InsufficientDataError,
     MultiEnvDataset,
     ROLE_DROP,
     ROLE_TEST,
@@ -38,7 +45,9 @@ from invarbin import (
     predict,
     training_subset,
 )
+from invarbin.bimp import VARIANT_LINEAR
 from invarbin.invariance import conditioning_sets
+from invarbin.regression import SplineTerm
 from invarbin.stats import student_t_tail, welch_columns
 
 
@@ -110,6 +119,62 @@ def t_two_sided_p(t: float, df: float) -> float:
     if math.isinf(t):
         return 0.0
     return incomplete_beta(0.5 * df, 0.5, df / (df + t * t))
+
+
+def clip_power_basis(x, knots) -> np.ndarray:
+    """Natural cubic basis [x, N_1(x), ..., N_{K-2}(x)] with clipped truncated cubes."""
+    last, second_last = knots[-1], knots[-2]
+    cube_last = np.clip(x - last, 0.0, None) ** 3
+
+    def scaled(k):
+        return (np.clip(x - k, 0.0, None) ** 3 - cube_last) / (last - k)
+
+    anchor = scaled(second_last)
+    return np.column_stack([x] + [scaled(k) - anchor for k in knots[:-2]])
+
+
+def unique_plan(x, n_knots) -> SplineTerm:
+    """One column's spline term, its distinct values counted by ``np.unique``."""
+    distinct = np.unique(x)
+    if distinct.size <= 1:
+        return SplineTerm(kind="constant", knots=(), coef=())
+    if distinct.size == 2:
+        return SplineTerm(kind="linear", knots=(), coef=())
+    knots = np.unique(np.quantile(x, [(i + 1) / (n_knots + 1) for i in range(n_knots)]))
+    if knots.size < 3:
+        return SplineTerm(kind="linear", knots=(), coef=())
+    return SplineTerm(kind="spline", knots=tuple(float(k) for k in knots), coef=())
+
+
+def training_scores(view, s, variant, members) -> list[float]:
+    """Mean squared training error of pair models sharing S, one array per step.
+
+    The ratio is NaN where |h1 - h0| <= eps_abs, and those entries are
+    replaced by zero before the sum, per training environment; members
+    with no contributing row score infinity.
+    """
+    ks = [pm.pair.k for pm in members]
+    h0 = np.array([pm.h0.coef for pm in members]).T
+    h1 = np.array([pm.h1.coef for pm in members]).T
+    eps = np.array([pm.eps_abs for pm in members])
+    total = np.zeros(len(members))
+    count = np.zeros(len(members))
+    for block, (env, observed) in enumerate(zip(view.env_features, view.env_response)):
+        try:
+            fit = view.fit_marginal(block, s, ks, variant)
+        except InsufficientDataError:
+            continue
+        design = np.column_stack([np.ones(env.shape[0]), env[:, list(s)]])
+        marginal = (design if variant == VARIANT_LINEAR else view.basis(block, s)) @ fit.coef
+        low, high = design @ h0, design @ h1
+        den = high - low
+        degenerate = np.abs(den) <= eps
+        ratio = np.divide(marginal - low, den, out=np.full(den.shape, np.nan), where=~degenerate)
+        probs = np.clip(ratio, 0.0, 1.0)
+        total += np.where(degenerate, 0.0, (probs - observed[:, None]) ** 2).sum(axis=0)
+        count += (~degenerate).sum(axis=0)
+    mean = np.divide(total, count, out=np.full(len(members), math.inf), where=count > 0)
+    return [float(v) for v in mean]
 
 
 def log_likelihood(z, y) -> float:

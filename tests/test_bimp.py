@@ -1,5 +1,7 @@
 import json
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,10 +30,15 @@ from invarbin import (
     philox_generator,
     predict_bimp,
     predict_pair,
+    predict,
     score_filter,
 )
+from invarbin import bimp
 from invarbin import test_subset as held_out_subset
-from invarbin.bimp import _matching_ratio
+from invarbin.bimp import TrainingView, _matching_ratio
+from invarbin.invariance import conditioning_sets
+from oracles import one_hot_dataset
+from oracles import training_scores as oracle_training_scores
 
 
 def test_enumerate_counts_default_cap():
@@ -342,3 +349,102 @@ def test_fit_bimp_abstains_when_no_accepted_pair_fits_the_target(variant):
     assert model.counts["skipped_target"] == model.counts["accepted"] > 0
     with pytest.raises(InsufficientDataError):
         fit_pair_model(d, Pair(k=0, s=()), variant=variant)
+
+
+def test_enumerate_with_groups_out_of_column_order():
+    # groups listed in another order than their columns: k still ascends,
+    # and each k is matched against the sets of the groups without it
+    groups = ((3, 4), (0,), (1, 2))
+    want = tuple(
+        Pair(k=k, s=s)
+        for k in range(5)
+        for s in conditioning_sets([g for g in groups if k not in g], 2)
+    )
+    assert enumerate_pairs(5, max_subset_size=2, groups=groups) == want
+
+
+def continuous_dataset():
+    return gen_benchmark(draw_benchmark_config(2, n_per_env=500))
+
+
+def shared_column_gam(eps_den):
+    """A gam fit on the benchmark family (m = 7) whose kept pairs share columns."""
+    d = continuous_dataset()
+    return d, fit_bimp(d, variant="gam", max_subset_size=6, eps_den=eps_den)
+
+
+def per_pair_average(pair_models, X, base_rate):
+    """predict_bimp's average, taken from each pair's own predict_pair."""
+    total = np.zeros(X.shape[0])
+    contributors = np.zeros(X.shape[0])
+    for pm in pair_models:
+        probs, degenerate = predict_pair(pm, X)
+        total[~degenerate] += probs[~degenerate]
+        contributors[~degenerate] += 1.0
+    return np.where(contributors == 0, base_rate, total / np.maximum(contributors, 1.0))
+
+
+def test_predict_bimp_shares_bases_bitwise():
+    d, model = shared_column_gam(1e-6)
+    X = held_out_subset(d).features
+    shared, uses = Counter(j for p in model.pairs for j in p.s).most_common(1)[0]
+    assert uses >= 3
+    got = predict_bimp(model, X).probabilities
+    assert got.tobytes() == per_pair_average(model.pair_models, X, model.base_rate).tobytes()
+    # one more pair whose marginal plans the shared column with other knots
+    # must read its own basis, not the one the other pairs share
+    pm = next(pm for pm in model.pair_models if shared in pm.pair.s)
+    at = pm.pair.s.index(shared)
+    term = pm.marginal.terms[at]
+    assert term.kind == "spline"
+    moved = replace(term, knots=tuple(k + 0.25 for k in term.knots))
+    terms = pm.marginal.terms[:at] + (moved,) + pm.marginal.terms[at + 1 :]
+    odd = replace(pm, marginal=replace(pm.marginal, terms=terms))
+    extended = replace(model, pair_models=model.pair_models + (odd,))
+    got = predict_bimp(extended, X).probabilities
+    want = per_pair_average(extended.pair_models, X, model.base_rate)
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() != predict_bimp(model, X).probabilities.tobytes()
+
+
+def test_degenerate_drop_matches_the_per_pair_path():
+    eps_den = 0.2
+    d, model = shared_column_gam(eps_den)
+    view = TrainingView(d)
+    accepted = [r.pair for r in model.reports if r.accepted]
+    fitted = [fit_pair_model(d, p, variant="gam", eps_den=eps_den, view=view) for p in accepted]
+    kept = score_filter(fitted, d, view=view).kept
+    target = held_out_subset(d).features
+    dropped = []
+    for pm in kept:
+        block = target[:, list(pm.pair.s)]
+        den = predict(pm.h1, block) - predict(pm.h0, block)
+        if np.mean(np.abs(den) <= pm.eps_abs) > 0.5:
+            dropped.append(pm)
+    assert model.counts["dropped_degenerate"] == len(dropped) > 0
+    assert model.pairs == tuple(pm.pair for pm in kept if pm not in dropped)
+
+
+@pytest.mark.parametrize("variant", ["linear", "gam"])
+@pytest.mark.parametrize(
+    "make", [one_hot_dataset, continuous_dataset], ids=["one-hot", "continuous"]
+)
+def test_training_scores_match_the_array_oracle_bitwise(make, variant):
+    d = make()
+    view = TrainingView(d)
+    s = (0, 1) if make is continuous_dataset else (0, 1, 2, 3)
+    members = [
+        fit_pair_model(d, Pair(k=k, s=s), variant=variant, eps_den=1e-6, view=view)
+        for k in range(d.m)
+        if k not in s
+    ]
+    train = np.concatenate(view.env_features)
+    design = np.column_stack([np.ones(train.shape[0]), train[:, list(s)]])
+    den = [np.abs(design @ (np.array(pm.h1.coef) - np.array(pm.h0.coef))) for pm in members]
+    # half of each member's training rows degenerate, every row of the last
+    members = [replace(pm, eps_abs=float(np.median(g))) for pm, g in zip(members, den)]
+    members[-1] = replace(members[-1], eps_abs=2.0 * float(den[-1].max()))
+    got = bimp._training_scores(view, s, variant, members)
+    want = oracle_training_scores(view, s, variant, members)
+    assert got == want
+    assert got[-1] == math.inf and all(math.isfinite(v) for v in got[:-1])

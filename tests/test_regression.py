@@ -24,12 +24,14 @@ from invarbin import (
 from invarbin.regression import (
     SplineTerm,
     _log_likelihood,
+    _natural_spline_basis,
+    _plan_term,
     _sigmoid,
     _spline_plan,
     _spline_solve,
     ols_columns,
 )
-from oracles import log_likelihood
+from oracles import clip_power_basis, log_likelihood, unique_plan
 
 
 def normal_equations(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -406,3 +408,43 @@ def test_planned_spline_solve_matches_one_target_fits_bitwise():
         assert again.lam == fit.lam
         assert again_basis.tobytes() == basis.tobytes()
         assert repr(again.model(0)) == repr(fit_spline_additive(X, Y[:, j]))
+
+
+@pytest.mark.parametrize(
+    "knots",
+    [(-1.0, 0.0, 1.0, 2.0), (0.0, 1e-5, 3.0), (-2.5, -0.5, 0.0, 0.75, 4.0)],
+    ids=["four", "three", "five"],
+)
+def test_spline_basis_matches_clip_and_power_bytewise(knots):
+    rng = np.random.default_rng(23)
+    x = np.concatenate([
+        knots,  # exactly at every knot
+        [-0.0, 0.0],  # -0.0 - 0.0 is -0.0: a clip gives +0.0, so must the kernel
+        [knots[0] - 1.0, -7.0, -1e50],  # below every knot
+        [1e-300, 1e-110, 1e-105],  # cubes that underflow to zero or to subnormals
+        [1e50, -3e49, 2e49],  # cubes near 1e150, far below overflow
+        rng.normal(scale=3.0, size=64),
+    ])
+    knots = np.asarray(knots)
+    got = _natural_spline_basis(x, knots)
+    want = clip_power_basis(x, knots)
+    assert got.shape == want.shape == (x.size, knots.size - 1)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "x, kind",
+    [
+        (np.full(9, 0.3), "constant"),
+        (np.array([-0.0, 0.0, 0.0, -0.0]), "constant"),
+        (np.array([1.0, -2.0, 1.0, 1.0, -2.0]), "linear"),
+        (np.array([0.0, 1.0, 2.0, 1.0, 0.0]), "spline"),
+        (np.r_[np.zeros(40), 1.0, 2.0, 3.0], "linear"),  # quantiles collapse to one knot
+        (np.r_[np.zeros(30), np.ones(30), 2.0], "linear"),  # ... and to two
+        (np.random.default_rng(4).normal(size=50), "spline"),
+    ],
+)
+def test_plan_term_matches_the_unique_reference(x, kind):
+    term = _plan_term(x, 5)
+    assert term == unique_plan(x, 5)
+    assert term.kind == kind
