@@ -205,8 +205,8 @@ class TrainingView:
     Every fit after the screen reads a factor: each block of rows (a class,
     the target or one training environment) is planned and factored once
     per kind of fit, with one R factor of the block's design taken chunk by
-    chunk, so there is one spline basis per (block, column) (:meth:`planned`).
-    Each conditioning set's solve then reads that factor, a few dozen rows,
+    chunk, so there is one spline basis per (block, column).  Each
+    conditioning set's solve then reads that factor, a few dozen rows,
     instead of the block's rows.  The cache lives as long as the view, one fit.
     """
 
@@ -265,11 +265,6 @@ class TrainingView:
         _check_variant(variant)
         rows = self.target if block == TARGET else self.env_features[block]
         return self._fit(block, rows, s, ks, variant == VARIANT_GAM)
-
-    def planned(self, block: int) -> tuple[tuple[SplineTerm, np.ndarray], ...]:
-        """Every column's planned spline term and basis over one block of rows."""
-        rows = self.target if block == TARGET else self.env_features[block]
-        return self._factor(block, rows, spline=True).planned
 
     def basis(self, block: int, s: tuple[int, ...]) -> np.ndarray:
         """[1 | the planned spline basis of every column in S] over one block of rows."""
@@ -352,10 +347,10 @@ def fit_pair_model(
     )
 
 
-def _pair_values(model: PairModel, X: np.ndarray, bases=None) -> tuple[np.ndarray, np.ndarray]:
+def _pair_values(model: PairModel, X: np.ndarray, bases: dict) -> tuple[np.ndarray, np.ndarray]:
     """One pair's ratios on X; gam marginals share basis blocks through ``bases``."""
     s_block = X[:, list(model.pair.s)]
-    if bases is None or model.variant != VARIANT_GAM:
+    if model.variant != VARIANT_GAM:
         marginal = predict(model.marginal, s_block)
     else:
         plans = [(j, term.kind, term.knots) for j, term in zip(model.pair.s, model.marginal.terms)]
@@ -378,7 +373,7 @@ def predict_pair(model: PairModel, X) -> tuple[np.ndarray, np.ndarray]:
     X = _check_design(X)
     if X.shape[1] != model.m:
         raise ValidationError(f"X has {X.shape[1]} columns; the pair was fitted on {model.m}")
-    probs, degenerate = _pair_values(model, X)
+    probs, degenerate = _pair_values(model, X, {})
     if X.shape[0] and bool(np.all(degenerate)):
         raise DegeneratePairError(f"all {X.shape[0]} rows are degenerate for pair {model.pair}")
     return probs, degenerate
@@ -396,15 +391,15 @@ def _training_scores(
 ) -> list[float]:
     """Mean squared training error of each pair model sharing S and variant.
 
-    h0 and h1 are the members' columns of the view's fits for S.  Inside
-    each training environment one marginal solve covers every member's k;
-    an environment too thin for that solve is left out.  The ratio, clip
-    and squared error are taken in place; degenerate entries add zero.
+    Inside each training environment one marginal solve covers every
+    member's k; an environment too thin for that solve is left out.  The
+    ratio, clip and squared error are taken in place; degenerate entries
+    add zero.
     """
     cols = list(s)
     ks = [pm.pair.k for pm in members]
-    group = view.solve(s, ks, variant)
-    h0, h1 = (fit.coef[:, [group.column[k] for k in ks]] for fit in group.h)
+    h0 = np.array([pm.h0.coef for pm in members]).T
+    h1 = np.array([pm.h1.coef for pm in members]).T
     eps = np.array([pm.eps_abs for pm in members])
     total = np.zeros(len(members))
     count = np.zeros(len(members))
@@ -439,11 +434,11 @@ def score_filter(
     Each pair is scored by the mean squared difference between its ratio
     predictions and the observed classes over all training rows, with the
     marginal term refit inside each training environment (the h fits stay
-    pooled: the view's fits for S, the models' own when fitted on ``d``).
-    Degenerate rows do not contribute.  Pairs score infinity when no row
-    contributes; the filter keeps scores at most (1 + tau) times the minimum
-    and always keeps an argmin, so the result is never empty.  Pairs sharing
-    S are scored together on ``view``, a :class:`TrainingView` of ``d`` or a new one.
+    pooled).  Degenerate rows do not contribute.  Pairs score infinity when
+    no row contributes; the filter keeps scores at most (1 + tau) times the
+    minimum and always keeps an argmin, so the result is never empty.
+    Pairs sharing a conditioning set are scored together; ``view`` is a
+    :class:`TrainingView` of ``d``, built here when not given.
     """
     if not models:
         raise ValidationError("score_filter needs at least one pair model")
@@ -579,12 +574,11 @@ def fit_bimp(
     if fitted:
         filtered = score_filter(fitted, d, tau=tau, view=view)
         scores, threshold = filtered.scores, filtered.threshold
-        # the target's marginal fits planned every column's basis
-        planned = view.planned(TARGET) if variant == VARIANT_GAM else ()
-        bases = {(j, term.kind, term.knots): block for j, (term, block) in enumerate(planned)}
         for model in filtered.kept:
-            _, degenerate = _pair_values(model, view.target, bases)
-            if view.target.shape[0] and degenerate.mean() > _DEGENERATE_DROP_FRACTION:
+            # a target row is degenerate where |h1 - h0| <= eps_abs; the marginal plays no part
+            s_block = view.target[:, list(model.pair.s)]
+            gap = np.abs(predict(model.h1, s_block) - predict(model.h0, s_block))
+            if gap.size and np.mean(gap <= model.eps_abs) > _DEGENERATE_DROP_FRACTION:
                 counts["dropped_degenerate"] += 1
                 continue
             survivors.append(model)

@@ -32,6 +32,7 @@ from invarbin import (
     predict_pair,
     predict,
     score_filter,
+    training_subset,
 )
 from invarbin import bimp
 from invarbin import test_subset as held_out_subset
@@ -448,3 +449,21 @@ def test_training_scores_match_the_array_oracle_bitwise(make, variant):
     want = oracle_training_scores(view, s, variant, members)
     assert got == want
     assert got[-1] == math.inf and all(math.isfinite(v) for v in got[:-1])
+
+
+@pytest.mark.parametrize("variant", ["linear", "gam"])
+def test_score_filter_scores_the_models_own_h_fits_without_a_target(variant):
+    # models fitted on d, scored on d's training rows alone (no test environment):
+    # each model is scored with its own h0/h1, even ones that no fit on the data gave
+    d = one_hot_dataset()
+    s = (0, 1, 2, 3)
+    models = [fit_pair_model(d, Pair(k=k, s=s), variant=variant) for k in range(d.m) if k not in s]
+    train_envs = tuple(e for e in d.environments if e.role == ROLE_TRAIN)
+    no_test = replace(training_subset(d), environments=train_envs)
+    assert no_test.test_label is None
+    assert score_filter(models, no_test).scores == score_filter(models, d).scores
+    swapped = [replace(pm, h0=pm.h1, h1=pm.h0) for pm in models]
+    got = score_filter(swapped, no_test).scores
+    want = oracle_training_scores(TrainingView(no_test), s, variant, swapped)
+    assert got == {pm.pair: v for pm, v in zip(swapped, want)}
+    assert got != score_filter(models, d).scores
