@@ -59,7 +59,7 @@ VARIANT_LINEAR = "linear"
 VARIANT_GAM = "gam"
 
 _DEGENERATE_DROP_FRACTION = 0.5
-TARGET = -1  # the target rows' block index in TrainingView.fit_marginal
+TARGET = -1  # the target rows' block index in TrainingView.fit
 # Rows per Householder update of a block's R factor.  The chunking bounds the
 # QR workspace (about three copies of the stacked rows), and with it peak
 # memory: 2,048 rows raised the peak RSS of a fit on a 95-column design by
@@ -70,16 +70,16 @@ _FACTOR_CHUNK_ROWS = 512
 def _matching_ratio(marginal, h0, h1, eps) -> tuple[np.ndarray, np.ndarray]:
     """The matching ratio (marginal - h0) / (h1 - h0), clipped to [0, 1].
 
-    Elementwise over broadcastable arrays.  Entries whose denominator is at
-    most ``eps`` in absolute value are degenerate: NaN in the first result
-    and True in the second.
+    Elementwise and in place: ``marginal`` becomes the ratio and ``h1`` the
+    denominator, float arrays of the result's shape.  Entries whose
+    denominator is at most ``eps`` in absolute value are degenerate: NaN in
+    the first result and True in the second.
     """
-    den = np.subtract(h1, h0)
+    den = np.subtract(h1, h0, out=h1)
     degenerate = np.abs(den) <= eps
-    ratio = np.divide(
-        np.subtract(marginal, h0), den, out=np.full(den.shape, np.nan), where=~degenerate
-    )
-    return np.clip(ratio, 0.0, 1.0), degenerate
+    np.copyto(den, np.nan, where=degenerate)
+    ratio = np.divide(np.subtract(marginal, h0, out=marginal), den, out=marginal)
+    return np.clip(ratio, 0.0, 1.0, out=ratio), degenerate
 
 
 def _as_groups(m: int, groups: Sequence[Sequence[int]] | None) -> tuple[tuple[int, ...], ...]:
@@ -161,21 +161,6 @@ def _check_tau(tau: float) -> None:
 
 
 @dataclass(frozen=True)
-class _GroupFit:
-    """h0, h1 and the target marginal for one conditioning set S.
-
-    Every k fitted with S is one column of each fit (``column`` maps k to
-    it).  ``thin`` says why the target rows could not carry the marginal,
-    in which case ``marginal`` is None.
-    """
-
-    column: Mapping[int, int]
-    h: tuple[ColumnsFit, ColumnsFit]
-    marginal: ColumnsFit | None
-    thin: str | None
-
-
-@dataclass(frozen=True)
 class _BlockFactor:
     """One block of rows' spline plans and the R factor of its design.
 
@@ -200,14 +185,14 @@ class TrainingView:
     ``env_response[i]`` the rows of training environment
     ``d.train_labels[i]``, and ``spread`` the per-column standard deviation
     of the training features.  ``target`` is the test environment's feature
-    block, gathered on first use.  :meth:`solve` keeps the
-    per-conditioning-set fits, so that all pairs sharing S cost one solve.
-    Every fit after the screen reads a factor: each block of rows (a class,
-    the target or one training environment) is planned and factored once
-    per kind of fit, with one R factor of the block's design taken chunk by
-    chunk, so there is one spline basis per (block, column).  Each
-    conditioning set's solve then reads that factor, a few dozen rows,
-    instead of the block's rows.  The cache lives as long as the view, one fit.
+    block, gathered on first use.  Every fit after the screen depends on a
+    block of rows and on S alone, never on k: :meth:`fit` keeps one fit per
+    (block, S, variant), shared by every pair with that S.  Each block (a
+    class, the target or one training environment) is planned and factored
+    once per kind of fit, with one R factor of the block's design taken
+    chunk by chunk, so there is one spline basis per (block, column).  Each
+    fit then reads that factor, a few dozen rows, instead of the block's
+    rows.  The caches live as long as the view, one fit.
     """
 
     def __init__(self, d: MultiEnvDataset):
@@ -219,77 +204,65 @@ class TrainingView:
         self.env_response = tuple(train.response[mask] for mask in env_masks)
         self.spread = np.array([np.std(column) for column in train.features.T])
         self._dataset = d
-        self._groups: dict[tuple[tuple[int, ...], str], _GroupFit] = {}
+        self._fits: dict[tuple[object, tuple[int, ...], str], ColumnsFit] = {}
         self._factors: dict[tuple[object, bool], _BlockFactor] = {}
 
     @cached_property
     def target(self) -> np.ndarray:
         return test_subset(self._dataset).features
 
-    def solve(self, s: tuple[int, ...], ks: Sequence[int], variant: str) -> _GroupFit:
-        """Fits of h0, h1 and the target marginal for S, with every k in ``ks``.
+    def _rows(self, block) -> np.ndarray:
+        if block == TARGET:
+            return self.target
+        return self.class_rows[block[1]] if isinstance(block, tuple) else self.env_features[block]
 
-        Each fit is one least-squares solve with all the k columns as
-        right-hand sides; the result is kept and reused for later calls
-        whose k it covers.
-        """
-        group = self._groups.get((s, variant))
-        if group is not None and set(ks) <= group.column.keys():
-            return group
-        if any(rows.shape[0] == 0 for rows in self.class_rows):
-            raise DegenerateResponseError("training rows contain a single class")
-        classes = enumerate(self.class_rows)
-        h0, h1 = (self._fit(("class", y), rows, s, ks, False) for y, rows in classes)
-        marginal = thin = None
-        try:
-            marginal = self.fit_marginal(TARGET, s, ks, variant)
-        except InsufficientDataError as exc:
-            thin = str(exc)
-        column = {k: j for j, k in enumerate(ks)}
-        group = _GroupFit(column=column, h=(h0, h1), marginal=marginal, thin=thin)
-        self._groups[(s, variant)] = group
-        return group
+    def fit(self, block, s: tuple[int, ...], variant: str) -> ColumnsFit:
+        """Fit of every column outside S on the columns in S over one block of rows.
 
-    def fit_marginal(
-        self, block: int, s: tuple[int, ...], ks: Sequence[int], variant: str
-    ) -> ColumnsFit:
-        """Fit of every column in ``ks`` on the columns in S over one block of rows.
-
-        ``block`` indexes ``env_features``, or is ``TARGET`` for the target
-        rows.  The fit is :func:`~invarbin.regression._ridge_solve` on the
-        columns of the block's R factor that hold S's regressors and ``ks``,
+        ``block`` is ``("class", y)`` for the training rows of class y (h0
+        and h1, fitted with ``VARIANT_LINEAR``), an index into
+        ``env_features``, or ``TARGET`` for the target rows.  Column k of
+        the coefficients is column k's fit; the columns in S are NaN.  The
+        fit is :func:`~invarbin.regression._ridge_solve` on the columns of
+        the block's R factor that hold S's regressors and the raw columns,
         so it equals :func:`~invarbin.regression.ols_columns`'s or
         :func:`~invarbin.regression._spline_solve`'s (whose basis
         :meth:`basis` gives), minimum-norm answers included, up to rounding.
         """
+        key = (block, s, variant)
+        fit = self._fits.get(key)
+        if fit is not None:
+            return fit
+        if isinstance(block, tuple) and any(rows.shape[0] == 0 for rows in self.class_rows):
+            raise DegenerateResponseError("training rows contain a single class")
         _check_variant(variant)
-        rows = self.target if block == TARGET else self.env_features[block]
-        return self._fit(block, rows, s, ks, variant == VARIANT_GAM)
+        spline = variant == VARIANT_GAM
+        n, m = self._rows(block).shape
+        _check_rows("fit_spline_additive" if spline else "fit_ols", n, 0 if spline else len(s))
+        factor = self._factor(block, spline)
+        start = factor.start
+        design = [0] + [i for j in s for i in range(start[j], start[j + 1])]
+        outside = np.ones(m, dtype=bool)
+        outside[list(s)] = False
+        lam = _SPLINE_LAMBDA if spline else 0.0
+        targets = factor.r[:, -m:][:, outside]  # the raw columns come last
+        coef = np.full((len(design), m), np.nan)
+        coef[:, outside] = _ridge_solve(factor.r[:, design], targets, lam, n)
+        terms = tuple(factor.planned[j][0] for j in s) if spline else None
+        fit = self._fits[key] = ColumnsFit(coef=coef, terms=terms, lam=lam)
+        return fit
 
     def basis(self, block: int, s: tuple[int, ...]) -> np.ndarray:
         """[1 | the planned spline basis of every column in S] over one block of rows."""
-        rows = self.target if block == TARGET else self.env_features[block]
-        planned = self._factor(block, rows, spline=True).planned
-        return np.hstack([np.ones((rows.shape[0], 1))] + [planned[j][1] for j in s])
+        planned = self._factor(block, spline=True).planned
+        return np.hstack([np.ones((self._rows(block).shape[0], 1))] + [planned[j][1] for j in s])
 
-    def _fit(self, block, rows: np.ndarray, s, ks, spline: bool) -> ColumnsFit:
-        n = rows.shape[0]
-        _check_rows("fit_spline_additive" if spline else "fit_ols", n, 0 if spline else len(s))
-        factor = self._factor(block, rows, spline)
-        start = factor.start
-        design = [0] + [i for j in s for i in range(start[j], start[j + 1])]
-        targets = [k - rows.shape[1] for k in ks]  # the raw columns come last
-        lam = _SPLINE_LAMBDA if spline else 0.0
-        coef = _ridge_solve(factor.r[:, design], factor.r[:, targets], lam, n)
-        if not spline:
-            return ColumnsFit(coef=coef)
-        return ColumnsFit(coef=coef, terms=tuple(factor.planned[j][0] for j in s), lam=lam)
-
-    def _factor(self, block, rows: np.ndarray, spline: bool) -> _BlockFactor:
+    def _factor(self, block, spline: bool) -> _BlockFactor:
         """The block's spline plans (none for OLS) and R factor, made on first use."""
         factor = self._factors.get((block, spline))
         if factor is not None:
             return factor
+        rows = self._rows(block)
         n, m = rows.shape
         planned = tuple(_spline_plan(column) for column in rows.T) if spline else ()
         widths = [basis.shape[1] for _, basis in planned]
@@ -322,7 +295,8 @@ def fit_pair_model(
     marginal on S.
 
     ``view`` is a :class:`TrainingView` of ``d`` shared by many pairs; the
-    three fits are this pair's columns of the view's solve for S.
+    three fits are column k of the view's fits for S, so a pair's model is
+    the same whichever other pairs share its S.
     """
     _check_variant(variant)
     _check_eps_den(eps_den)
@@ -330,17 +304,16 @@ def fit_pair_model(
         raise ValidationError(f"pair {pair} references columns beyond m = {d.m}")
     if view is None:
         view = TrainingView(d)
-    group = view.solve(pair.s, (pair.k,), variant)
-    if group.thin is not None:
-        raise InsufficientDataError(group.thin)
-    j = group.column[pair.k]
+    h0 = view.fit(("class", 0), pair.s, VARIANT_LINEAR)
+    h1 = view.fit(("class", 1), pair.s, VARIANT_LINEAR)
+    marginal = view.fit(TARGET, pair.s, variant)
     spread = float(view.spread[pair.k])
     eps_abs = eps_den * spread if spread > 0.0 else eps_den
     return PairModel(
         pair=pair,
-        h0=group.h[0].model(j),
-        h1=group.h[1].model(j),
-        marginal=group.marginal.model(j),
+        h0=h0.model(pair.k),
+        h1=h1.model(pair.k),
+        marginal=marginal.model(pair.k),
         eps_abs=eps_abs,
         variant=variant,
         m=d.m,
@@ -391,12 +364,11 @@ def _training_scores(
 ) -> list[float]:
     """Mean squared training error of each pair model sharing S and variant.
 
-    Inside each training environment one marginal solve covers every
-    member's k; an environment too thin for that solve is left out.  The
-    ratio, clip and squared error are taken in place; degenerate entries
-    add zero.
+    Inside each training environment every member reads its column of the
+    view's marginal fit for S; an environment too thin for that fit is left
+    out.  The ratio, clip and squared error are taken in place; degenerate
+    entries add zero.
     """
-    cols = list(s)
     ks = [pm.pair.k for pm in members]
     h0 = np.array([pm.h0.coef for pm in members]).T
     h1 = np.array([pm.h1.coef for pm in members]).T
@@ -405,16 +377,12 @@ def _training_scores(
     count = np.zeros(len(members))
     for block, (env, observed) in enumerate(zip(view.env_features, view.env_response)):
         try:
-            fit = view.fit_marginal(block, s, ks, variant)
+            coef = view.fit(block, s, variant).coef[:, ks]
         except InsufficientDataError:
             continue
-        design = np.column_stack([np.ones(env.shape[0]), env[:, cols]])
-        error = (design if variant == VARIANT_LINEAR else view.basis(block, s)) @ fit.coef
-        low, den = design @ h0, design @ h1
-        den -= low
-        degenerate = np.abs(den) <= eps
-        error -= low
-        np.clip(np.divide(error, den, out=error, where=~degenerate), 0.0, 1.0, out=error)
+        design = np.column_stack([np.ones(env.shape[0]), env[:, list(s)]])
+        marginal = (design if variant == VARIANT_LINEAR else view.basis(block, s)) @ coef
+        error, degenerate = _matching_ratio(marginal, design @ h0, design @ h1, eps)
         np.square(np.subtract(error, observed[:, None], out=error), out=error)
         np.copyto(error, 0.0, where=degenerate)
         total += error.sum(axis=0)
@@ -525,8 +493,9 @@ def fit_bimp(
     are too few to fit (counted as ``skipped_target``), drop the pairs
     whose training error exceeds (1 + tau) times the best, and drop any
     survivor degenerate on more than half of the target rows.  Every fit
-    after the screen is one solve per conditioning set, shared by all the
-    pairs with that set.  The model abstains when nothing remains.
+    after the screen is one solve per block of rows and conditioning set,
+    shared by all the pairs with that set.  The model abstains when nothing
+    remains.
     """
     _check_variant(variant)
     if not 0.0 < alpha < 1.0:
@@ -555,11 +524,6 @@ def fit_bimp(
     accepted = [r.pair for r in reports if r.accepted]
 
     view = TrainingView(d)
-    by_s: dict[tuple[int, ...], list[int]] = {}
-    for pair in accepted:
-        by_s.setdefault(pair.s, []).append(pair.k)
-    for s, ks in by_s.items():
-        view.solve(s, ks, variant)
     fitted: list[PairModel] = []
     for pair in accepted:
         try:

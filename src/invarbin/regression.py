@@ -37,6 +37,8 @@ _LOGISTIC_TOL = 1e-8
 _MAX_HALVINGS = 20
 _EPS = float(np.finfo(float).eps)
 _PROB_CLIP = 1e-12
+# the widest span of a spline column: beyond it (x - knot) ** 3 overflows
+_CUBE_SPREAD = float(np.cbrt(np.finfo(float).max))
 
 
 def _check_design(X, y=None):
@@ -125,7 +127,8 @@ class ColumnsFit:
     The design (an intercept column, then the regressors or their spline
     basis) depends on the regressors alone, so one least-squares solve with
     every target as a right-hand side fits them all.  Column j of ``coef``
-    belongs to target j.  ``terms`` is None for OLS and holds the planned
+    is target j's fit; the matching-pairs fits number targets by feature
+    column, with NaN for the regressors' own.  ``terms`` is None for OLS and holds the planned
     spline terms (kind and knots, no coefficients) for the additive model.
     """
 
@@ -230,6 +233,8 @@ def _plan_term(x: np.ndarray, n_knots: int) -> SplineTerm:
     knots = np.unique(np.quantile(x, levels))
     if knots.size < 3:
         return SplineTerm(kind="linear", knots=(), coef=())
+    if hi / 2 - lo / 2 > _CUBE_SPREAD / 2:  # halved: the span itself cannot overflow
+        raise ValidationError(f"column range [{lo:.3g}, {hi:.3g}] is too wide for cubic splines")
     return SplineTerm(kind="spline", knots=tuple(float(k) for k in knots), coef=())
 
 

@@ -161,11 +161,11 @@ def training_scores(view, s, variant, members) -> list[float]:
     count = np.zeros(len(members))
     for block, (env, observed) in enumerate(zip(view.env_features, view.env_response)):
         try:
-            fit = view.fit_marginal(block, s, ks, variant)
+            coef = view.fit(block, s, variant).coef[:, ks]
         except InsufficientDataError:
             continue
         design = np.column_stack([np.ones(env.shape[0]), env[:, list(s)]])
-        marginal = (design if variant == VARIANT_LINEAR else view.basis(block, s)) @ fit.coef
+        marginal = (design if variant == VARIANT_LINEAR else view.basis(block, s)) @ coef
         low, high = design @ h0, design @ h1
         den = high - low
         degenerate = np.abs(den) <= eps

@@ -408,6 +408,21 @@ def test_predict_bimp_shares_bases_bitwise():
     assert got.tobytes() != predict_bimp(model, X).probabilities.tobytes()
 
 
+@pytest.mark.parametrize("variant", ["linear", "gam"])
+@pytest.mark.parametrize(
+    "make, cap", [(one_hot_dataset, None), (continuous_dataset, 6)], ids=["one-hot", "continuous"]
+)
+def test_pair_model_does_not_depend_on_its_s_group(make, cap, variant):
+    # every kept pair equals its standalone fit bit for bit, whichever
+    # other accepted pairs share its conditioning set
+    d = make()
+    model = fit_bimp(d, variant=variant, max_subset_size=cap)
+    per_s = Counter(r.pair.s for r in model.reports if r.accepted)
+    assert max(per_s.values()) >= 3 and model.pair_models
+    for pm in model.pair_models:
+        assert fit_pair_model(d, pm.pair, variant, model.eps_den) == pm, pm.pair
+
+
 def test_degenerate_drop_matches_the_per_pair_path():
     eps_den = 0.2
     d, model = shared_column_gam(eps_den)

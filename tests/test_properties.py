@@ -11,6 +11,9 @@ column-wise ``encode_table`` and ``sniff_table`` must agree with the
 row-by-row references in ``oracles`` on every bit or refusal.
 """
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,9 +28,11 @@ from invarbin import (  # noqa: E402
     ROLE_TRAIN,
     VARIANT_GAM,
     VARIANT_LINEAR,
+    ValidationError,
     encode_table,
     fit_bimp,
     fit_icp,
+    fit_spline_additive,
     predict_bimp,
     predict_pair,
     sniff_table,
@@ -86,6 +91,35 @@ def dataset_recipes(draw):
 def dataset(recipe, prefix="e") -> MultiEnvDataset:
     labels = tuple(f"{prefix}{i}" for i in range(len(recipe["train_sizes"])))
     return build_dataset(train_labels=labels, **recipe)
+
+
+def scaled_first_column(scale) -> MultiEnvDataset:
+    d = build_dataset(0, (30, 30), 20, (1.0, 1.0), ("e0", "e1"))
+    features = d.features.copy()
+    features[:, 0] *= scale
+    return replace(d, features=features)
+
+
+@pytest.mark.parametrize("scale", [1e103, 1e110])
+def test_spline_fits_refuse_a_column_whose_cubes_overflow(scale):
+    # column 0 spans about 4 * scale, beyond the cube root of the largest float
+    d = scaled_first_column(scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="too wide for cubic splines"):
+            fit_bimp(d, variant=VARIANT_GAM)
+        with pytest.raises(ValidationError, match="too wide for cubic splines"):
+            fit_spline_additive(d.features, d.response)
+
+
+def test_spline_fits_keep_a_column_whose_cubes_stay_finite():
+    d = scaled_first_column(1e102)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit_bimp(d, variant=VARIANT_GAM)
+        spline = fit_spline_additive(d.features, d.response)
+    assert not model.abstained and spline.terms[0].kind == "spline"
+    assert np.all(np.isfinite(predict(spline, d.features)))
 
 
 @FEW
