@@ -192,13 +192,16 @@ class TrainingView:
     once per kind of fit, with one R factor of the block's design taken
     chunk by chunk, so there is one spline basis per (block, column).  Each
     fit then reads that factor, a few dozen rows, instead of the block's
-    rows.  The caches live as long as the view, one fit.
+    rows.  The caches live as long as the view, one fit.  Training rows
+    that lack a class raise :class:`DegenerateResponseError`.
     """
 
     def __init__(self, d: MultiEnvDataset):
         train = training_subset(d)
         self.response = train.response
         self.class_rows = tuple(train.features[train.response == y] for y in (0, 1))
+        if any(rows.shape[0] == 0 for rows in self.class_rows):
+            raise DegenerateResponseError("training rows contain a single class")
         env_masks = [train.rows_in(label) for label in train.train_labels]
         self.env_features = tuple(train.features[mask] for mask in env_masks)
         self.env_response = tuple(train.response[mask] for mask in env_masks)
@@ -233,8 +236,6 @@ class TrainingView:
         fit = self._fits.get(key)
         if fit is not None:
             return fit
-        if isinstance(block, tuple) and any(rows.shape[0] == 0 for rows in self.class_rows):
-            raise DegenerateResponseError("training rows contain a single class")
         _check_variant(variant)
         spline = variant == VARIANT_GAM
         n, m = self._rows(block).shape
@@ -326,10 +327,10 @@ def _pair_values(model: PairModel, X: np.ndarray, bases: dict) -> tuple[np.ndarr
     if model.variant != VARIANT_GAM:
         marginal = predict(model.marginal, s_block)
     else:
-        plans = [(j, term.kind, term.knots) for j, term in zip(model.pair.s, model.marginal.terms)]
-        for plan, term in zip(plans, model.marginal.terms):
-            if plan not in bases:
-                bases[plan] = _term_columns(term, X[:, plan[0]])
+        plans = list(zip(model.pair.s, model.marginal.terms))
+        for j, term in plans:
+            if (j, term) not in bases:
+                bases[j, term] = _term_columns(term, X[:, j])
         marginal = _additive_values(model.marginal, [bases[p] for p in plans], X.shape[0])
     return _matching_ratio(
         marginal, predict(model.h0, s_block), predict(model.h1, s_block), model.eps_abs
@@ -580,7 +581,7 @@ def predict_bimp(model: BimpModel, X) -> BimpPrediction:
     n = X.shape[0]
     total = np.zeros(n)
     contributors = np.zeros(n)
-    bases: dict = {}  # one basis block per column and plan, for this call only
+    bases: dict = {}  # one basis block per column and planned term, for this call only
     for pm in model.pair_models:
         probs, degenerate = _pair_values(pm, X, bases)
         ok = ~degenerate

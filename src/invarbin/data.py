@@ -305,7 +305,11 @@ def _columns(header: list[str], rows: list[tuple[int, list[str]]]):
 
     Also returns that row's :class:`CsvParseError`, or None.  Callers strip only
     the columns they compare: ``float`` ignores the whitespace ``str.strip`` removes.
+    A header that repeats a name raises :class:`CsvParseError` on line 1.
     """
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise CsvParseError(f"header repeats column {name!r}", line=1)
     cells = [row for _, row in rows]
     widths = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
     wrong = np.flatnonzero(widths != len(header))

@@ -6,9 +6,12 @@ an explicit intercept, and are deterministic.  OLS is solved by SVD
 design is rank deficient.  The additive model expands each column in a
 natural cubic spline basis, whose truncated cubes take the power on positive
 bases only, and solves a ridge problem with the intercept left unpenalized,
-so it extrapolates linearly outside the training range.  Its predictions
-sum the basis blocks term by term (:func:`_additive_values`), so a caller
-evaluating many models on the same rows can build one basis per column.
+so it extrapolates linearly outside the training range.  A fitted spline
+model is one coefficient vector, laid out as a linear model's, over planned
+terms (kind and knots) that every fit on the same rows and columns shares.
+Its predictions sum the basis blocks term by term (:func:`_additive_values`),
+so a caller evaluating many models on the same rows can build one basis per
+column and planned term.
 The logistic fit is a damped Newton iteration with step halving; it stops
 at a small gradient, or once a step can no longer move the coefficients.
 Its start at zero (:func:`_logistic_start`) depends on the rows alone, so
@@ -72,24 +75,28 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class SplineTerm:
-    """One feature's contribution to an additive spline model.
+    """The plan of one feature's term in an additive spline model.
 
     ``kind`` is one of ``constant`` (feature was constant in training, no
     coefficients), ``linear`` (single slope coefficient) or ``spline``
-    (natural cubic basis: one linear coefficient followed by one curvature
-    coefficient per interior basis function).
+    (natural cubic basis on ``knots``: one linear coefficient followed by
+    one curvature coefficient per interior basis function).  It holds no
+    coefficients, so every fit on the same rows and columns shares it.
     """
 
     kind: str
     knots: tuple[float, ...]
-    coef: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class AdditiveSplineModel:
-    """Sum of per-feature spline terms plus a global intercept."""
+    """Sum of per-feature spline terms plus a global intercept.
 
-    intercept: float
+    ``coef`` is laid out as a :class:`LinearModel`'s: the intercept first,
+    then each term's coefficients in term order (:func:`_term_coefs`).
+    """
+
+    coef: tuple[float, ...]
     terms: tuple[SplineTerm, ...]
     lam: float
 
@@ -128,8 +135,10 @@ class ColumnsFit:
     basis) depends on the regressors alone, so one least-squares solve with
     every target as a right-hand side fits them all.  Column j of ``coef``
     is target j's fit; the matching-pairs fits number targets by feature
-    column, with NaN for the regressors' own.  ``terms`` is None for OLS and holds the planned
-    spline terms (kind and knots, no coefficients) for the additive model.
+    column, with NaN for the regressors' own.  ``terms`` is None for OLS and
+    holds the planned spline terms for the additive model.  :meth:`model`
+    slices one column for either kind, so every target's spline model holds
+    this same ``terms`` tuple.
     """
 
     coef: np.ndarray
@@ -138,22 +147,10 @@ class ColumnsFit:
 
     def model(self, j: int):
         """Target j's fit as a standalone linear or additive spline model."""
-        coef = self.coef[:, j].tolist()
+        coef = tuple(self.coef[:, j].tolist())
         if self.terms is None:
-            return LinearModel(coef=tuple(coef))
-        terms = []
-        offset = 1
-        for term in self.terms:
-            width = _term_width(term)
-            terms.append(
-                SplineTerm(
-                    kind=term.kind,
-                    knots=term.knots,
-                    coef=tuple(coef[offset : offset + width]),
-                )
-            )
-            offset += width
-        return AdditiveSplineModel(intercept=coef[0], terms=tuple(terms), lam=self.lam)
+            return LinearModel(coef=coef)
+        return AdditiveSplineModel(coef=coef, terms=self.terms, lam=self.lam)
 
 
 def _check_rows(fit: str, n: int, p: int = 0) -> None:
@@ -226,16 +223,16 @@ def _natural_spline_basis(x: np.ndarray, knots: np.ndarray) -> np.ndarray:
 def _plan_term(x: np.ndarray, n_knots: int) -> SplineTerm:
     lo, hi = x.min(), x.max()  # one or two distinct values, told without sorting
     if lo == hi:
-        return SplineTerm(kind="constant", knots=(), coef=())
+        return SplineTerm(kind="constant", knots=())
     if np.all((x == lo) | (x == hi)):
-        return SplineTerm(kind="linear", knots=(), coef=())
+        return SplineTerm(kind="linear", knots=())
     levels = [(i + 1) / (n_knots + 1) for i in range(n_knots)]
     knots = np.unique(np.quantile(x, levels))
     if knots.size < 3:
-        return SplineTerm(kind="linear", knots=(), coef=())
+        return SplineTerm(kind="linear", knots=())
     if hi / 2 - lo / 2 > _CUBE_SPREAD / 2:  # halved: the span itself cannot overflow
         raise ValidationError(f"column range [{lo:.3g}, {hi:.3g}] is too wide for cubic splines")
-    return SplineTerm(kind="spline", knots=tuple(float(k) for k in knots), coef=())
+    return SplineTerm(kind="spline", knots=tuple(float(k) for k in knots))
 
 
 def _term_columns(term: SplineTerm, x: np.ndarray) -> np.ndarray:
@@ -244,14 +241,6 @@ def _term_columns(term: SplineTerm, x: np.ndarray) -> np.ndarray:
     if term.kind == "linear":
         return x[:, None]
     return _natural_spline_basis(x, np.asarray(term.knots))
-
-
-def _term_width(term: SplineTerm) -> int:
-    if term.kind == "constant":
-        return 0
-    if term.kind == "linear":
-        return 1
-    return len(term.knots) - 1
 
 
 def _spline_plan(x: np.ndarray, n_knots: int = _SPLINE_KNOTS) -> tuple[SplineTerm, np.ndarray]:
@@ -416,12 +405,21 @@ def fit_logistic(X, y) -> LogisticModel:
     return _newton(design, y, _logistic_start(design, y))[0]
 
 
+def _term_coefs(model: AdditiveSplineModel):
+    """Each term of a spline model with its slice of ``coef``, which starts after the intercept."""
+    offset = 1
+    for term in model.terms:
+        width = {"constant": 0, "linear": 1}.get(term.kind, len(term.knots) - 1)
+        yield term, model.coef[offset : offset + width]
+        offset += width
+
+
 def _additive_values(model: AdditiveSplineModel, bases, n: int) -> np.ndarray:
     """A spline model on n rows from its terms' basis blocks: the intercept, then term by term."""
-    out = np.full(n, model.intercept)
-    for term, cols in zip(model.terms, bases):
+    out = np.full(n, model.coef[0])
+    for (_, coef), cols in zip(_term_coefs(model), bases):
         if cols.shape[1]:
-            out = out + cols @ np.asarray(term.coef)
+            out = out + cols @ np.asarray(coef)
     return out
 
 
@@ -457,11 +455,11 @@ def model_to_dict(model) -> dict:
     if isinstance(model, AdditiveSplineModel):
         return {
             "type": "spline",
-            "intercept": model.intercept,
+            "intercept": model.coef[0],
             "lam": model.lam,
             "terms": [
-                {"kind": t.kind, "knots": list(t.knots), "coef": list(t.coef)}
-                for t in model.terms
+                {"kind": t.kind, "knots": list(t.knots), "coef": list(coef)}
+                for t, coef in _term_coefs(model)
             ],
         }
     raise ValidationError(f"unknown model type: {type(model).__name__}")

@@ -137,13 +137,13 @@ def unique_plan(x, n_knots) -> SplineTerm:
     """One column's spline term, its distinct values counted by ``np.unique``."""
     distinct = np.unique(x)
     if distinct.size <= 1:
-        return SplineTerm(kind="constant", knots=(), coef=())
+        return SplineTerm(kind="constant", knots=())
     if distinct.size == 2:
-        return SplineTerm(kind="linear", knots=(), coef=())
+        return SplineTerm(kind="linear", knots=())
     knots = np.unique(np.quantile(x, [(i + 1) / (n_knots + 1) for i in range(n_knots)]))
     if knots.size < 3:
-        return SplineTerm(kind="linear", knots=(), coef=())
-    return SplineTerm(kind="spline", knots=tuple(float(k) for k in knots), coef=())
+        return SplineTerm(kind="linear", knots=())
+    return SplineTerm(kind="spline", knots=tuple(float(k) for k in knots))
 
 
 def training_scores(view, s, variant, members) -> list[float]:

@@ -23,6 +23,7 @@ from invarbin import (
     bimp_to_dict,
     draw_benchmark_config,
     enumerate_pairs,
+    feature_groups,
     fit_bimp,
     fit_pair_model,
     gen_anchor,
@@ -152,6 +153,26 @@ def test_pair_model_single_class_training_raises():
     )
     with pytest.raises(DegenerateResponseError):
         fit_pair_model(forced, Pair(k=2, s=(0,)))
+
+
+@pytest.mark.parametrize("variant", ["linear", "gam"])
+@pytest.mark.parametrize("training", ["no-rows", "one-class"])
+def test_fit_bimp_refuses_training_rows_without_both_classes(training, variant):
+    # no training rows at all, or training rows of class 0 only
+    d = anchor_data(n=500)
+    keep = d.env_of == d.test_label
+    if training == "one-class":
+        keep |= d.response == 0
+    forced = MultiEnvDataset(
+        features=d.features[keep],
+        response=d.response[keep],
+        env_of=d.env_of[keep],
+        environments=d.environments,
+        column_names=d.column_names,
+    )
+    assert len(forced.train_labels) >= 2
+    with pytest.raises(DegenerateResponseError, match="single class"):
+        fit_bimp(forced, variant=variant)
 
 
 def test_predict_pair_all_degenerate_raises():
@@ -421,6 +442,18 @@ def test_pair_model_does_not_depend_on_its_s_group(make, cap, variant):
     assert max(per_s.values()) >= 3 and model.pair_models
     for pm in model.pair_models:
         assert fit_pair_model(d, pm.pair, variant, model.eps_den) == pm, pm.pair
+
+
+@pytest.mark.parametrize(
+    "make, cap", [(one_hot_dataset, None), (continuous_dataset, 6)], ids=["one-hot", "continuous"]
+)
+def test_gam_marginals_hold_their_conditioning_set_plan(make, cap):
+    # every pair's spline marginal holds the planned terms of its S's target fit, not a copy
+    d = make()
+    view = TrainingView(d)
+    for pair in enumerate_pairs(d.m, max_subset_size=cap, groups=feature_groups(d)):
+        pm = fit_pair_model(d, pair, variant="gam", view=view)
+        assert pm.marginal.terms is view.fit(bimp.TARGET, pair.s, "gam").terms, pair
 
 
 def test_degenerate_drop_matches_the_per_pair_path():

@@ -478,6 +478,9 @@ def test_flag_the_command_does_not_read_exits_two(argv, simulated, tmp_path, cap
 ONE_TRAINING_ENV = "env,y,x1\n" + "".join(
     f"{env},{i % 2},{i / 10}\n" for env in ("env1", "test") for i in range(8)
 )
+REPEATED_COLUMN = "env,y,x1,x1\n" + "".join(
+    f"{env},{i % 2},{i / 10},{i}\n" for env in ("env1", "env2", "test") for i in range(8)
+)
 # line 14 is env2's fifth row
 NON_FINITE_CELL = "env,y,x1\n" + "".join(
     f"{env},{i % 2},{'nan' if (env, i) == ('env2', 4) else i / 10}\n"
@@ -517,12 +520,14 @@ NON_FINITE_CELL = "env,y,x1\n" + "".join(
          "adult.data:2: hours-per-week is not finite: 'inf'"),
         (["reproduce", "table1", "education-num", "nan"],
          "adult.data:2: education-num is not finite: 'nan'"),
+        (["fit-predict", "--data", REPEATED_COLUMN], "line 1: header repeats column 'x1'"),
     ],
     ids=["simulate-seed", "fig1-seed", "fig2-seed", "schema-not-json", "schema-no-kinds",
          "schema-a-list", "schema-wrong-type", "simulate-replicates", "fig2-replicates",
          "simulate-rows", "simulate-m", "fig1-rows", "fig2-rows", "data-short-row",
          "data-one-training-env", "unknown-method", "table1-hours", "table1-education",
-         "data-non-finite", "table1-hours-inf", "table1-education-nan"],
+         "data-non-finite", "table1-hours-inf", "table1-education-nan",
+         "data-repeated-column"],
 )
 def test_bad_outside_input_exits_one_with_one_error_line(argv, message, simulated, tmp_path):
     # a separate interpreter, so an exception that escapes main shows as a traceback

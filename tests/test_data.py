@@ -392,6 +392,20 @@ def test_sniff_names_the_line_of_a_short_row():
     assert info.value.line == 3
 
 
+def test_sniff_and_encode_refuse_a_repeated_column():
+    # the second "size" would otherwise replace the first without a word
+    header = ["size", "color", "label", "env", "size"]
+    table = rows(
+        ["1", "blue", "no", "one", "9"],
+        ["2", "red", "yes", "two", "8"],
+        ["3", "green", "no", "hold", "7"],
+    )
+    with pytest.raises(CsvParseError, match="line 1: header repeats column 'size'"):
+        sniff_table(header, table, "env", "label", test_env="hold")
+    with pytest.raises(CsvParseError, match="line 1: header repeats column 'size'"):
+        encode_table(header, table, SPEC)
+
+
 def test_encode_empty_declared_environment():
     with pytest.raises(ValidationError, match="empty"):
         encode_table(

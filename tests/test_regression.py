@@ -308,12 +308,9 @@ def model_from_json(text: str):
     if payload["type"] == "linear":
         return LinearModel(coef=tuple(payload["coef"]))
     return AdditiveSplineModel(
-        intercept=payload["intercept"],
+        coef=(payload["intercept"],) + tuple(c for t in payload["terms"] for c in t["coef"]),
         lam=payload["lam"],
-        terms=tuple(
-            SplineTerm(kind=t["kind"], knots=tuple(t["knots"]), coef=tuple(t["coef"]))
-            for t in payload["terms"]
-        ),
+        terms=tuple(SplineTerm(kind=t["kind"], knots=tuple(t["knots"])) for t in payload["terms"]),
     )
 
 
@@ -324,6 +321,13 @@ def test_model_dict_round_trip():
     for model in (fit_ols(X, y), fit_spline_additive(X, y)):
         clone = model_from_json(json.dumps(model_to_dict(model)))
         assert np.max(np.abs(predict(clone, X) - predict(model, X))) < 1e-12
+    # a constant, a two-valued and a continuous column: terms 0, 1 and 4 coefficients wide
+    mixed = np.column_stack([np.full(100, 3.0), rng.integers(0, 2, size=100), X[:, 0]])
+    model = fit_spline_additive(mixed, y)
+    assert [term.kind for term in model.terms] == ["constant", "linear", "spline"]
+    clone = model_from_json(json.dumps(model_to_dict(model)))
+    assert clone == model
+    assert predict(clone, mixed).tobytes() == predict(model, mixed).tobytes()
 
 
 def test_model_dict_rejects_unknown_type():
