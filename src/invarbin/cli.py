@@ -365,13 +365,16 @@ def cmd_simulate(args) -> int:
 
 def _load_datafiles(paths: list[str], args) -> MultiEnvDataset:
     header = None
-    merged: list[tuple[int, list[str]]] = []
+    merged: list[tuple[int | str, list[str]]] = []
     for path in paths:
         file_header, rows = _read_csv(path)
         if header is None:
             header = file_header
         elif file_header != header:
             raise ValidationError(f"{path}: header differs from {paths[0]}")
+        if len(paths) > 1:
+            # a refusal names the row's line as given: "line 3 of b.csv"
+            rows = [(f"{line} of {path}", row) for line, row in rows]
         merged.extend(rows)
     if args.schema:
         with open(args.schema, encoding="utf-8") as fh:

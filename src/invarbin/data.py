@@ -228,6 +228,9 @@ class EncodingSpec:
     def __post_init__(self):
         if self.missing_policy not in ("drop_row", "missing_as_category"):
             raise ValidationError(f"unknown missing_policy {self.missing_policy!r}")
+        for role, col in (("response", self.response_column), ("environment", self.env_column)):
+            if col in self.columns:
+                raise ValidationError(f"the {role} column {col!r} is listed as a feature")
         for col in self.columns:
             kind = self.kinds.get(col)
             if kind not in ("numeric", "categorical"):
@@ -300,7 +303,7 @@ class EncodingSpec:
         return EncodingSpec(**fields)
 
 
-def _columns(header: list[str], rows: list[tuple[int, list[str]]]):
+def _columns(header: list[str], rows: list[tuple[int | str, list[str]]]):
     """Cells by header name, transposed once, up to the first row of the wrong width.
 
     Also returns that row's :class:`CsvParseError`, or None.  Callers strip only
@@ -332,17 +335,18 @@ def _floats(cells: Sequence[str]) -> np.ndarray | None:
 
 def encode_table(
     header: list[str],
-    rows: list[tuple[int, list[str]]],
+    rows: list[tuple[int | str, list[str]]],
     spec: EncodingSpec,
 ) -> MultiEnvDataset:
-    """Encode parsed CSV cells (as (line number, row) pairs) under ``spec``.
+    """Encode parsed CSV cells (as (line, row) pairs) under ``spec``.
 
     Cells are whitespace-stripped before any comparison.  Rows are dropped
     when their environment maps to role "drop" or when the missing policy
     says so; every other unmappable value raises :class:`SchemaError`, as
     does a numeric cell that is not a finite float (``nan``, ``inf``).
 
-    A refusal names the first offending line in file order.  Within a line
+    A refusal names the first offending line in file order, as the pair
+    gives it: a number, or a label such as ``3 of b.csv``.  Within a line
     the environment comes first, then the response, then the columns in spec
     order, and a row dropped by its environment or a missing cell raises
     nothing for its later cells.  A row of the wrong width raises
@@ -440,7 +444,7 @@ def _read_csv(path: str):
         try:
             header = next(reader)
         except StopIteration:
-            raise CsvParseError("file is empty") from None
+            raise CsvParseError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
         rows = [(i, row) for i, row in enumerate(reader, start=2) if row]
     return header, rows
@@ -448,7 +452,7 @@ def _read_csv(path: str):
 
 def sniff_table(
     header: list[str],
-    rows: list[tuple[int, list[str]]],
+    rows: list[tuple[int | str, list[str]]],
     env_column: str,
     response_column: str,
     test_env: str | None = None,

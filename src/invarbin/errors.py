@@ -18,10 +18,11 @@ class ValidationError(InvarbinError, ValueError):
 class CsvParseError(InvarbinError):
     """A CSV file is structurally malformed.
 
-    Carries the 1-based line number of the offending row when known.
+    Carries the line of the offending row when known: its 1-based number,
+    or the label a caller gave it, such as ``3 of b.csv``.
     """
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | str | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

@@ -13,7 +13,8 @@ Its predictions sum the basis blocks term by term (:func:`_additive_values`),
 so a caller evaluating many models on the same rows can build one basis per
 column and planned term.
 The logistic fit is a damped Newton iteration with step halving; it stops
-at a small gradient, or once a step can no longer move the coefficients.
+once the Newton decrement reaches the log-likelihood's rounding floor, a
+test that rescaling a column does not change.
 Its start at zero (:func:`_logistic_start`) depends on the rows alone, so
 ICP slices one start for every subset's Newton loop (:func:`_newton`).
 OLS and the additive model are the one-target case of :func:`ols_columns`
@@ -36,7 +37,6 @@ from .errors import DegenerateResponseError, InsufficientDataError, ValidationEr
 _SPLINE_KNOTS = 5
 _SPLINE_LAMBDA = 1e-3
 _LOGISTIC_MAX_ITER = 100
-_LOGISTIC_TOL = 1e-8
 _MAX_HALVINGS = 20
 _EPS = float(np.finfo(float).eps)
 _PROB_CLIP = 1e-12
@@ -110,11 +110,10 @@ class LogisticModel:
     """Logistic predictor P(y=1|x) = sigmoid(coef[0] + x @ coef[1:]).
 
     ``converged`` is True when the fit is at the optimum to working
-    precision: the gradient norm fell below 1e-8, or the last Newton step
-    could not move the coefficients while its Newton decrement was at the
-    rounding floor of the log-likelihood.  It is False when the iteration
-    hit its cap, the signature of (quasi-)separated data, or stalled short
-    of that floor; the coefficients are still usable for prediction then.
+    precision: the Newton decrement at ``coef`` is at the rounding floor of
+    the log-likelihood.  It is False when the iteration hit its cap or a
+    step short of that floor could not move the coefficients; the
+    coefficients are still usable for prediction then.
     """
 
     coef: tuple[float, ...]
@@ -348,16 +347,16 @@ def _newton(design: np.ndarray, y: np.ndarray, start) -> tuple[LogisticModel, np
     ll, p, grad, hess = start
     w = np.zeros(design.shape[1])
     losses = [-ll]
-    it = 0
-    converged = bool(np.linalg.norm(grad) < _LOGISTIC_TOL)
-    while not converged and it < _LOGISTIC_MAX_ITER:
-        it += 1
-        if it > 1:
+    for it in range(_LOGISTIC_MAX_ITER + 1):
+        if it:
             hess = design.T @ (design * (p * (1.0 - p))[:, None])
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             step, _, _, _ = np.linalg.lstsq(hess, grad, rcond=None)
+        converged = bool(grad @ step / 2.0 <= _EPS * max(1.0, abs(ll)))
+        if converged or it == _LOGISTIC_MAX_ITER:
+            break
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             w_new = w + scale * step
@@ -369,14 +368,12 @@ def _newton(design: np.ndarray, y: np.ndarray, start) -> tuple[LogisticModel, np
         else:
             w_new = w  # every trial point lowered the log-likelihood
         if np.array_equal(w_new, w):
-            converged = bool(grad @ step / 2.0 <= _EPS * max(1.0, abs(ll)))
             break
         w, ll = w_new, ll_new
         losses.append(-ll)
         # the next step starts from this sigmoid and gradient
         p = _sigmoid(z_new, e_new)
         grad = design.T @ (y - p)
-        converged = bool(np.linalg.norm(grad) < _LOGISTIC_TOL)
     return LogisticModel(
         coef=tuple(float(c) for c in w),
         converged=converged,
@@ -388,17 +385,16 @@ def _newton(design: np.ndarray, y: np.ndarray, start) -> tuple[LogisticModel, np
 def fit_logistic(X, y) -> LogisticModel:
     """Logistic regression by damped Newton iteration.
 
-    Each Newton step is halved (at most 20 times) until the log-likelihood
-    does not decrease, so the recorded loss path is non-increasing.  Stops
-    when the gradient norm falls below 1e-8, or when a step can no longer
-    move the coefficients: every trial point lowers the log-likelihood, or
-    the accepted one equals the current point bit for bit (every later step
-    would repeat it).  A fit stopped that way is converged when the step's
-    Newton decrement, half of grad @ step, is at the rounding floor of the
-    log-likelihood (at most machine epsilon times max(1, |log-likelihood|)).
-    On (quasi-)separated data the iteration runs to its cap of 100 steps and
-    the model is flagged as not converged.  ``n_iter`` counts the Newton
-    steps taken, including a last one that could not move the coefficients.
+    Before each step the fit stops, converged, once the Newton decrement
+    (half of grad @ step) is at the log-likelihood's rounding floor, machine
+    epsilon times max(1, |log-likelihood|).  The decrement is affine-invariant,
+    so rescaling a column does not change when the fit stops.  Otherwise the
+    step is halved (at most 20 times) until the log-likelihood does not
+    decrease, so the loss path is non-increasing.  The fit stops unconverged
+    once a step cannot move the coefficients (every trial point lowers the
+    log-likelihood, or the accepted one equals the current point bit for bit)
+    or after 100 steps.  (Quasi-)separated data typically converge after a few
+    dozen steps, with large coefficients.  ``n_iter`` counts the steps taken.
     Both classes must be present.
     """
     design, y = _logistic_design(X, y)

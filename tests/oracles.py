@@ -273,6 +273,36 @@ def one_hot_dataset(n=900, categoricals=3, levels=5, seed=0):
     )
 
 
+def adult_like_dataset(seed, n_per_env=2000):
+    """Four numeric census columns at their raw scales, in environments e1, e2, test.
+
+    age is 17-89, fnlwgt about exp(N(12, 0.5)) (around 1.6e5), capital-gain
+    is 0 on nine rows in ten and otherwise up to 99,999, and hours-per-week
+    is around 40; the label follows age, gain and hours, not fnlwgt.
+    """
+    rng = np.random.default_rng(seed)
+    labels = ("e1", "e2", "test")
+    n = n_per_env * len(labels)
+    age = rng.integers(17, 90, n).astype(float)
+    fnlwgt = np.round(np.exp(rng.normal(12.0, 0.5, n)))
+    gain = np.round(np.exp(rng.uniform(np.log(100.0), np.log(99_999.0), n)))
+    gain[rng.uniform(size=n) < 0.9] = 0.0
+    hours = np.clip(np.round(rng.normal(40.0, 12.0, n)), 1.0, 99.0)
+    logits = -1.5 + 0.04 * (age - 38.0) + 0.03 * (hours - 40.0) + 2e-4 * gain
+    y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-logits))).astype(np.int64)
+    return MultiEnvDataset(
+        features=np.column_stack([age, fnlwgt, gain, hours]),
+        response=y,
+        env_of=np.repeat(np.asarray(labels, dtype=object), n_per_env),
+        environments=(
+            Environment("e1", ROLE_TRAIN),
+            Environment("e2", ROLE_TRAIN),
+            Environment("test", ROLE_TEST),
+        ),
+        column_names=("age", "fnlwgt", "capital-gain", "hours-per-week"),
+    )
+
+
 
 
 def encode_rows(header, rows, spec) -> MultiEnvDataset:

@@ -25,7 +25,7 @@ from invarbin import (
 from invarbin import baselines
 from invarbin import test_subset as held_out_subset
 from invarbin.regression import _logistic_start
-from oracles import icp_reference, one_hot_dataset
+from oracles import adult_like_dataset, icp_reference, one_hot_dataset
 
 
 def test_lr_baseline_learns_pooled_logit():
@@ -155,6 +155,16 @@ def test_icp_reuses_the_intersection_fit(monkeypatch):
     assert fitted.model.converged == public.converged
     got, want = np.asarray(fitted.model.coef), np.asarray(public.coef)
     assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+def test_every_fit_converges_on_census_scale_columns(monkeypatch):
+    d = adult_like_dataset(31)
+    assert fit_lr_baseline(d).converged
+    calls = recording_newton(monkeypatch)
+    fitted = fit_icp(d)
+    assert len(calls) == len(fitted.pvals) > 0
+    unconverged = [cols for cols, (_, _, model) in zip(fitted.pvals, calls) if not model.converged]
+    assert unconverged == []
 
 
 _REFERENCE_DATASETS = [

@@ -488,6 +488,26 @@ NON_FINITE_CELL = "env,y,x1\n" + "".join(
     for i in range(8)
 )
 
+# the simulated tables' own schema, with the response column listed as a feature too
+RESPONSE_AS_FEATURE = json.dumps({
+    "columns": ["x1", "y"],
+    "kinds": {"x1": "numeric", "y": "numeric"},
+    "categories": {},
+    "response_column": "y",
+    "response_map": {"0": 0, "1": 1},
+    "env_column": "env",
+    "env_map": {
+        env: {"label": env, "role": "test" if env == "test" else "train"}
+        for env in ("env1", "env2", "test")
+    },
+})
+# two files whose line 3 is fine in the first and refused in the second
+FIRST_FILE = "env,y,x1\n" + "".join(f"env1,{i % 2},{i / 10}\n" for i in range(8))
+SECOND_FILE_SHORT_ROW = "env,y,x1\nenv2,0,1.5\nenv2,1\n"
+SECOND_FILE_NON_FINITE = "env,y,x1\n" + "".join(
+    f"{env},{i % 2},{'inf' if i == 1 else i / 10}\n" for env in ("env2", "test") for i in range(4)
+)
+
 
 @pytest.mark.parametrize(
     "argv, message",
@@ -521,24 +541,33 @@ NON_FINITE_CELL = "env,y,x1\n" + "".join(
         (["reproduce", "table1", "education-num", "nan"],
          "adult.data:2: education-num is not finite: 'nan'"),
         (["fit-predict", "--data", REPEATED_COLUMN], "line 1: header repeats column 'x1'"),
+        (["fit-predict", "--schema", RESPONSE_AS_FEATURE],
+         "the response column 'y' is listed as a feature"),
+        (["fit-predict", "--data", FIRST_FILE, SECOND_FILE_SHORT_ROW],
+         "line 3 of input1: expected 3 fields, found 2"),
+        (["fit-predict", "--data", FIRST_FILE, SECOND_FILE_NON_FINITE],
+         "line 3 of input1: column 'x1' has non-finite value 'inf'"),
+        (["fit-predict", "--data", FIRST_FILE, ""], "input1: file is empty"),
     ],
     ids=["simulate-seed", "fig1-seed", "fig2-seed", "schema-not-json", "schema-no-kinds",
          "schema-a-list", "schema-wrong-type", "simulate-replicates", "fig2-replicates",
          "simulate-rows", "simulate-m", "fig1-rows", "fig2-rows", "data-short-row",
          "data-one-training-env", "unknown-method", "table1-hours", "table1-education",
          "data-non-finite", "table1-hours-inf", "table1-education-nan",
-         "data-repeated-column"],
+         "data-repeated-column", "schema-response-as-feature", "two-files-short-row",
+         "two-files-non-finite", "two-files-one-empty"],
 )
 def test_bad_outside_input_exits_one_with_one_error_line(argv, message, simulated, tmp_path):
     # a separate interpreter, so an exception that escapes main shows as a traceback
     if argv[0] == "fit-predict":
-        flag, value = argv[1:]
+        flag, *values = argv[1:]
         data = [] if flag == "--data" else ["--data", *simulated]
         if flag in ("--data", "--schema"):
-            path = tmp_path / "input"
-            path.write_text(value, encoding="utf-8")
-            value = str(path)
-        argv = ["fit-predict", *data, flag, value]
+            # named relative to the working directory, as a message names them
+            for k, value in enumerate(values):
+                (tmp_path / f"input{k}").write_text(value, encoding="utf-8")
+            values = [f"input{k}" for k in range(len(values))]
+        argv = ["fit-predict", *data, flag, *values]
     elif argv[1] == "table1":
         # line 2 of the fixture is a complete row; one of its numeric cells is replaced
         column, value = argv[2:]

@@ -433,6 +433,15 @@ def test_spec_validates_roles():
         )
 
 
+@pytest.mark.parametrize("column, role", [("label", "response"), ("env", "environment")])
+def test_spec_refuses_its_response_or_environment_column_as_a_feature(column, role):
+    message = f"the {role} column '{column}' is listed as a feature"
+    with pytest.raises(ValidationError, match=message):
+        dataclasses.replace(
+            SPEC, columns=(*SPEC.columns, column), kinds={**SPEC.kinds, column: "numeric"}
+        )
+
+
 def test_sniff_detects_kinds_and_maps():
     header = ["x", "c", "y", "env"]
     table = rows(

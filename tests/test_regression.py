@@ -31,7 +31,7 @@ from invarbin.regression import (
     _spline_solve,
     ols_columns,
 )
-from oracles import clip_power_basis, log_likelihood, unique_plan
+from oracles import adult_like_dataset, clip_power_basis, log_likelihood, unique_plan
 
 
 def normal_equations(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -201,8 +201,9 @@ _LINE = np.linspace(-1, 1, 50)
     [
         # the starting gradient is exactly zero: converged before any step
         (np.array([[1.0], [-1.0], [1.0], [-1.0]]), np.array([1, 1, 0, 0]), (True, 0, 1)),
-        # separable: the gradient decays below the tolerance as the slope grows
-        (_LINE[:, None], (_LINE > 0).astype(np.int64), (True, 23, 24)),
+        # separable: the slope grows until the Newton decrement reaches the
+        # log-likelihood's rounding floor (the loss is then 2.1e-16)
+        (_LINE[:, None], (_LINE > 0).astype(np.int64), (True, 43, 44)),
         (*_converging_logistic_data(), (True, 5, 6)),
     ],
     ids=["zero-gradient", "separable", "converging"],
@@ -237,11 +238,13 @@ def _large_n_training(seed, cols):
     return train.features[:, list(cols)], train.response
 
 
-# Where the iteration sat after its cap of 100 steps on the sample below: it
-# reaches the optimum at step 4 with a gradient norm of 1.2e-8, which rounding
-# kept from falling under the 1e-8 tolerance.  That gradient leaves each
-# coefficient up to 8.5e-12 relative from the point where the gradient norm
-# is 3e-13, so the loss cannot tell these digits apart below about 1e-11.
+# The optimum of the sample below to the loss's resolution.  After 4 steps the
+# gradient norm is 1.2e-8 and the Newton decrement 2.8e-21, under the
+# log-likelihood's rounding floor of 2.2e-12, so the fit stops there; a fifth
+# step would need 14 halvings to move the coefficients at all.  That gradient
+# leaves each coefficient up to 8.5e-12 relative from the point where the
+# gradient norm is 3e-13, so the loss cannot tell these digits apart below
+# about 1e-11.
 _FLOOR_COEF = (
     0.017317256798183203,
     0.18822314712590735,
@@ -260,9 +263,25 @@ def test_logistic_stops_when_a_step_cannot_move_the_coefficients():
 
 
 def test_logistic_failed_line_search_at_the_floor_is_converged():
-    # all 21 trial points of step 21 lower the log-likelihood
+    # after 3 steps the Newton decrement, 1.4e-14, is under the rounding floor
+    # of the log-likelihood, 2.4e-12, while the gradient norm is still 1.1e-5
     model = fit_logistic(*_large_n_training(7000, (1, 4)))
     assert model.converged
+
+
+def test_logistic_stopping_does_not_depend_on_column_scale():
+    # fnlwgt is around 1.6e5, so its gradient entry rounds at a scale 1e5 times
+    # a unit column's; the Newton decrement is the same at every scale of a
+    # column, so the fit stops after as many steps when fnlwgt is scaled by a
+    # power of two (exact in floating point)
+    train = training_subset(adult_like_dataset(31))
+    X, y = train.features, train.response
+    model = fit_logistic(X, y)
+    small = fit_logistic(X * np.array([1.0, 2.0**-17, 1.0, 1.0]), y)
+    assert model.converged
+    assert model.n_iter == small.n_iter
+    rescaled = np.asarray(small.coef) * np.array([1.0, 1.0, 2.0**-17, 1.0, 1.0])
+    assert np.asarray(model.coef) == pytest.approx(rescaled, rel=1e-12, abs=0.0)
 
 
 def test_logistic_prediction_clipped():
